@@ -170,7 +170,7 @@ class EditingStudy:
 
 
 def _editing_run_job(kwargs: dict) -> EditingScenarioResult:
-    """Module-level job wrapper (picklable for the process backend)."""
+    """One editing-scenario run (a :meth:`BatchComposer.map` job)."""
     return run_editing_scenario(**kwargs)
 
 
@@ -196,8 +196,7 @@ def run_editing_study(
     100 edits per run, 100 runs), which takes considerably longer.  All
     configuration × run combinations are independent (each run owns its seed),
     so they are dispatched as one batch through ``batch`` (a
-    :class:`BatchComposer`; a default serial one when omitted) — pass a
-    thread/process-backed composer to spread paper-scale studies over cores.
+    :class:`BatchComposer`; a default one when omitted).
     """
     if paper_scale:
         schema_size, num_edits, runs = 30, 100, 100

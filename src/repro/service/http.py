@@ -81,6 +81,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     StaleEpochError,
 )
+from repro.service.httpio import READ_TIMEOUT_SECONDS, read_body
 from repro.service.server import CompositionService
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replica imports catalog)
@@ -91,12 +92,12 @@ from repro.textio.records import chain_from_text, detect_kind, mapping_to_text, 
 
 __all__ = ["ServiceHTTPServer", "serve"]
 
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-
 
 class _Handler(BaseHTTPRequestHandler):
     # ``self.server`` is the ThreadingHTTPServer; ServiceHTTPServer pins the
     # ``service`` and ``verbose`` attributes onto it before serving starts.
+
+    timeout = READ_TIMEOUT_SECONDS
 
     # -- plumbing ------------------------------------------------------------------
 
@@ -378,15 +379,10 @@ class _Handler(BaseHTTPRequestHandler):
         if url.path.rstrip("/") != "/compose":
             self._send_text(404, f"unknown path {url.path!r}\n")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_text(400, "malformed Content-Length header\n")
+        body = read_body(self)
+        if body is None:
             return
-        if length <= 0 or length > _MAX_BODY_BYTES:
-            self._send_text(400, "request body required (a record text)\n")
-            return
-        text = self.rfile.read(length).decode("utf-8", errors="replace")
+        text = body.decode("utf-8", errors="replace")
         query = parse_qs(url.query)
         config: Optional[ComposerConfig] = None
         if query.get("order", [None])[0] == "cost":

@@ -51,10 +51,9 @@ from urllib.request import Request, urlopen
 
 from repro import faults, obs
 from repro.exceptions import ServiceError
+from repro.service.httpio import READ_TIMEOUT_SECONDS, read_body
 
 __all__ = ["BackendState", "RouterHTTPServer", "route"]
-
-_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Headers that must not be forwarded verbatim from a proxied response.
 _HOP_HEADERS = {"connection", "keep-alive", "transfer-encoding", "server", "date"}
@@ -113,6 +112,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
     # ``self.server`` is the ThreadingHTTPServer; RouterHTTPServer pins the
     # ``router`` and ``verbose`` attributes onto it before serving starts.
 
+    timeout = READ_TIMEOUT_SECONDS
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:
             super().log_message(format, *args)
@@ -143,16 +144,10 @@ class _RouterHandler(BaseHTTPRequestHandler):
         self._proxy("GET", body=None)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_text(400, "malformed Content-Length header\n")
-            return
-        if length < 0 or length > _MAX_BODY_BYTES:
-            self._send_text(400, "request body too large\n")
-            return
-        body = self.rfile.read(length) if length else b""
-        self._proxy("POST", body=body)
+        # Bodiless POSTs (``/admin/promote``) are relayed as they are.
+        body = read_body(self, required=False)
+        if body is not None:
+            self._proxy("POST", body=body)
 
     def _proxy(self, method: str, body: Optional[bytes]) -> None:
         router: "RouterHTTPServer" = self.server.router

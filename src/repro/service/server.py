@@ -21,20 +21,15 @@ all of them at once.  :class:`CompositionService` is that front-end:
 * **micro-batching** — the serving loop drains up to ``micro_batch_size``
   requests (waiting ``micro_batch_wait_seconds`` for stragglers), groups them
   by kind and configuration, and executes each group through one
-  :class:`~repro.engine.batch.BatchComposer` call (``run`` / ``run_chains`` /
-  ``run_partitioned``), so batched requests share one expression cache and
-  one checkpoint store per batch;
+  :class:`~repro.engine.batch.BatchComposer` call (``run`` or
+  ``run_chains``), which composes the group's requests one after another —
+  so they share one expression cache per batch and one checkpoint store;
 * **per-request configuration** — a submission may carry its own
   ``ComposerConfig``; configs are part of the dedup key and the grouping, so
   requests only share work when their results would be identical;
 * **durability** — given a :class:`~repro.catalog.MappingCatalog`, chain
-  requests record hop checkpoints in the catalog's *persistent* store, so a
-  restarted service answers warm.  Write-through happens on the ``serial``
-  and ``thread`` backends (the default); ``process``-backend workers are
-  *seeded* from the disk store at pool startup (so restarts still reuse
-  previously persisted prefixes) but hops they record stay worker-local —
-  the engine's usual process-isolation trade
-  (:attr:`~repro.engine.batch.BatchConfig.share_checkpoints`);
+  requests record hop checkpoints in the catalog's *persistent* store
+  (written through on every hop), so a restarted service answers warm;
 * **tunable write acknowledgements** — ``ServiceConfig(ack_level)`` picks
   what a write ack promises: ``"journal"`` (fsynced into the local WAL) or
   ``"replica"`` (additionally confirmed applied by at least one follower,
@@ -128,10 +123,9 @@ class ServiceConfig:
         How long the serving loop waits for stragglers once it holds at least
         one request; ``0`` serves immediately (lowest latency, least
         batching).
-    backend / max_workers / timeout_seconds:
-        Forwarded to the underlying :class:`~repro.engine.batch.BatchConfig`
-        (execution backend of each micro-batch, pool width, soft per-request
-        budget).
+    timeout_seconds:
+        Soft per-request budget, forwarded to the underlying
+        :class:`~repro.engine.batch.BatchConfig`.
     composer_config:
         The default :class:`ComposerConfig` for requests that do not carry
         their own override.
@@ -192,8 +186,6 @@ class ServiceConfig:
     deadline_seconds: Optional[float] = None
     micro_batch_size: int = 16
     micro_batch_wait_seconds: float = 0.002
-    backend: str = "auto"
-    max_workers: Optional[int] = None
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
     share_expression_cache: bool = True
@@ -488,24 +480,20 @@ class CompositionService:
         self,
         problem: CompositionProblem,
         config: Optional[ComposerConfig] = None,
-        partitioned: bool = False,
         deadline_seconds: Optional[float] = None,
     ) -> Ticket:
         """Queue one composition problem; returns with a ticket once admitted.
 
-        ``partitioned`` routes the problem through
-        :meth:`~repro.engine.batch.BatchComposer.run_partitioned` (the
-        cost-guided planner with intra-problem parallel sub-tasks).
-        ``deadline_seconds`` overrides the service-wide admission deadline
+        Pass ``ComposerConfig.cost_guided()`` as ``config`` to compose with
+        the cost-guided planner.  ``deadline_seconds`` overrides the service-wide admission deadline
         for this request (meaningful with ``admission="block"``).
 
         Submissions are accepted before :meth:`start` (they queue and are
         served once the loop runs) but refused after :meth:`stop`.
         """
-        kind = "partitioned" if partitioned else "problem"
         effective = config or self.config.composer_config
-        key = self._request_key(kind, problem.fingerprint(), effective)
-        return self._enqueue(key, kind, problem, effective, deadline_seconds)
+        key = self._request_key("problem", problem.fingerprint(), effective)
+        return self._enqueue(key, "problem", problem, effective, deadline_seconds)
 
     def submit_chain(
         self,
@@ -525,11 +513,10 @@ class CompositionService:
         self,
         problem: CompositionProblem,
         config: Optional[ComposerConfig] = None,
-        partitioned: bool = False,
         timeout: Optional[float] = None,
     ):
         """Submit one problem and block for its result."""
-        return self.submit_problem(problem, config, partitioned).result(timeout)
+        return self.submit_problem(problem, config).result(timeout)
 
     def compose_chain(
         self,
@@ -677,8 +664,6 @@ class CompositionService:
         if composer is None:
             composer = BatchComposer(
                 BatchConfig(
-                    backend=self.config.backend,
-                    max_workers=self.config.max_workers,
                     timeout_seconds=self.config.timeout_seconds,
                     composer_config=config,
                     share_expression_cache=self.config.share_expression_cache,
@@ -702,8 +687,6 @@ class CompositionService:
         try:
             if kind == "chain":
                 report = composer.run_chains([item.payload for item in group])
-            elif kind == "partitioned":
-                report = composer.run_partitioned([item.payload for item in group])
             else:
                 report = composer.run([item.payload for item in group])
         except Exception as exc:  # noqa: BLE001 - a broken batch must not kill the loop
@@ -718,9 +701,7 @@ class CompositionService:
             for item in group:
                 self._finish(item, None, error, elapsed / max(len(group), 1))
             return
-        self.metrics_store.record_batch(
-            size=len(group), backend=report.backend, cache_stats=report.cache_stats
-        )
+        self.metrics_store.record_batch(size=len(group), cache_stats=report.cache_stats)
         for item, outcome in zip(group, report.items):
             if outcome.status is ProblemStatus.SUCCEEDED:
                 self._finish(item, outcome, None, outcome.elapsed_seconds)

@@ -342,32 +342,9 @@ class TestPersistentCheckpoints:
         on_disk = store.disk_entries()
 
         fresh = PersistentCheckpointStore(tmp_path / "ckpt")
-        assert fresh.warm() == on_disk
-        assert len(fresh.snapshot()) == on_disk  # now visible to process seeding
-
         assert fresh.purge() == on_disk
         assert fresh.disk_entries() == 0
         assert compose_chain(chain, checkpoints=fresh).reused_hops == 0
-
-    def test_process_backend_restart_seeded_from_disk(self, tmp_path, chain):
-        from repro.engine import BatchComposer
-        from repro.engine.batch import BatchConfig
-
-        store = PersistentCheckpointStore(tmp_path / "ckpt")
-        reference = compose_chain(chain, checkpoints=store)
-
-        # A restarted process-backend composer: its persistent store starts
-        # with an empty memory table, but run_chains warms it from disk
-        # before seeding the pool, so workers resume the recorded prefix.
-        fresh = PersistentCheckpointStore(tmp_path / "ckpt")
-        composer = BatchComposer(
-            BatchConfig(backend="process", max_workers=1), checkpoints=fresh
-        )
-        report = composer.run_chains([chain])
-        assert report.all_succeeded
-        (warm,) = report.results()
-        assert warm.reused_hops == len(warm.hops)
-        assert warm.constraints.to_text() == reference.constraints.to_text()
 
     def test_memory_eviction_falls_back_to_disk(self, tmp_path, chain):
         store = PersistentCheckpointStore(tmp_path / "ckpt", max_entries=2)

@@ -1,5 +1,6 @@
 """Tests for the batch composition engine (:mod:`repro.engine.batch`)."""
 
+import gc
 import time
 
 import pytest
@@ -9,54 +10,48 @@ from repro.engine.batch import (
     BatchConfig,
     ProblemStatus,
 )
+from repro.engine.chain import compose_chain
 from repro.engine.workloads import WorkloadConfig, generate_workload, pairwise_problems
 from repro.exceptions import EngineError
 
 
 class TestBatchConfig:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError, match="backend"):
-            BatchConfig(backend="gpu")
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(EngineError):
-            BatchConfig(max_workers=0)
-
     def test_invalid_timeout_rejected(self):
         with pytest.raises(EngineError):
             BatchConfig(timeout_seconds=0)
 
-    def test_auto_backend_resolves_to_serial(self):
-        # Composition is GIL-bound pure Python: auto must not pick a pool.
-        assert BatchConfig(backend="auto").resolved_backend() == "serial"
-        assert BatchConfig(backend="process").resolved_backend() == "process"
-
     def test_fail_fast_on_pool_backend_preserves_exception_type(self):
+        ran = []
+
         def bad(x):
-            if x == 0:
+            ran.append(x)
+            if x == 3:
                 raise KeyError("original type survives")
             return x
 
-        composer = BatchComposer(
-            BatchConfig(backend="thread", max_workers=2, fail_fast=True)
-        )
+        composer = BatchComposer(BatchConfig(fail_fast=True))
         with pytest.raises(KeyError):
             composer.map(bad, list(range(20)))
+        # The batch stops at the failing item: nothing after it runs.
+        assert ran == [0, 1, 2, 3]
 
     def test_failure_error_includes_traceback(self):
         def bad(_):
             raise ValueError("with traceback")
 
-        report = BatchComposer(BatchConfig(backend="serial")).map(bad, [1])
+        report = BatchComposer().map(bad, [1])
         assert "Traceback" in report.failed[0].error
         assert "with traceback" in report.failed[0].error
 
 
 class TestMap:
     def test_results_in_submission_order(self):
-        composer = BatchComposer(BatchConfig(backend="thread", max_workers=4))
-        report = composer.map(lambda x: x * 10, list(range(8)))
+        report = BatchComposer().map(lambda x: x * 10, list(range(8)))
         assert [item.result for item in report.items] == [x * 10 for x in range(8)]
+        assert [item.index for item in report.items] == list(range(8))
+        assert [item.label for item in report.items] == [
+            f"problem[{x}]" for x in range(8)
+        ]
         assert report.all_succeeded
 
     def test_failure_isolation(self):
@@ -65,8 +60,7 @@ class TestMap:
                 raise ValueError("boom on 2")
             return x
 
-        composer = BatchComposer(BatchConfig(backend="serial"))
-        report = composer.map(flaky, [0, 1, 2, 3])
+        report = BatchComposer().map(flaky, [0, 1, 2, 3])
         assert len(report.succeeded) == 3
         assert len(report.failed) == 1
         failed = report.failed[0]
@@ -80,7 +74,7 @@ class TestMap:
         def bad(_):
             raise RuntimeError("stop everything")
 
-        composer = BatchComposer(BatchConfig(backend="serial", fail_fast=True))
+        composer = BatchComposer(BatchConfig(fail_fast=True))
         with pytest.raises(RuntimeError, match="stop everything"):
             composer.map(bad, [1])
 
@@ -90,14 +84,37 @@ class TestMap:
                 time.sleep(0.05)
             return x
 
-        composer = BatchComposer(
-            BatchConfig(backend="thread", max_workers=2, timeout_seconds=0.02)
-        )
+        composer = BatchComposer(BatchConfig(timeout_seconds=0.02))
         report = composer.map(slow, [0, 1, 2])
         assert len(report.timed_out) == 1
-        assert report.timed_out[0].index == 1
-        assert report.timed_out[0].result is None
+        timed_out = report.timed_out[0]
+        assert timed_out.index == 1
+        assert timed_out.result is None
+        assert timed_out.elapsed_seconds > 0.02
+        assert "0.02 s" in timed_out.error
+        # The over-budget item does not stop the batch.
         assert {item.index for item in report.succeeded} == {0, 2}
+        assert [item.result for item in report.succeeded] == [0, 2]
+
+    def test_cyclic_gc_paused_during_batch_and_restored(self):
+        seen = BatchComposer().map(lambda _: gc.isenabled(), [0, 1])
+        assert [item.result for item in seen.items] == [False, False]
+        assert gc.isenabled()
+
+        def bad(_):
+            raise KeyError("fail fast")
+
+        with pytest.raises(KeyError):
+            BatchComposer(BatchConfig(fail_fast=True)).map(bad, [0])
+        assert gc.isenabled()
+
+    def test_gc_left_disabled_when_caller_disabled_it(self):
+        gc.disable()
+        try:
+            BatchComposer().map(lambda x: x, [0])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_label_mismatch_rejected(self):
         composer = BatchComposer()
@@ -113,34 +130,30 @@ class TestRunChains:
         )
 
     def test_payloads_are_chain_results(self, workload):
-        report = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
+        report = BatchComposer().run_chains(workload)
         assert report.all_succeeded
         assert report.items[0].label == workload[0].name
         for item, problem in zip(report.items, workload):
             assert item.result.chain_length == problem.chain_length
 
     def test_backends_agree(self, workload):
-        serial = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
-        threaded = BatchComposer(
-            BatchConfig(backend="thread", max_workers=4)
-        ).run_chains(workload)
-        for a, b in zip(serial.items, threaded.items):
-            assert a.result.constraints == b.result.constraints
-            assert a.result.residual_symbols == b.result.residual_symbols
+        report = BatchComposer().run_chains(workload)
+        for item, problem in zip(report.items, workload):
+            direct = compose_chain(problem.mappings)
+            assert item.result.constraints.to_text() == direct.constraints.to_text()
+            assert item.result.residual_symbols == direct.residual_symbols
 
     def test_cache_stats_reported_when_sharing(self, workload):
-        report = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
+        report = BatchComposer().run_chains(workload)
         assert report.cache_stats is not None
         assert report.cache_stats["hits"] > 0
-        off = BatchComposer(
-            BatchConfig(backend="serial", share_expression_cache=False)
-        ).run_chains(workload)
+        off = BatchComposer(BatchConfig(share_expression_cache=False)).run_chains(workload)
         assert off.cache_stats is None
         for a, b in zip(report.items, off.items):
             assert a.result.constraints == b.result.constraints
 
     def test_report_statistics(self, workload):
-        report = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
+        report = BatchComposer().run_chains(workload)
         assert len(report) == len(workload)
         assert report.throughput() > 0
         assert report.total_problem_seconds() > 0
@@ -154,7 +167,7 @@ class TestRun:
             WorkloadConfig(num_problems=3, min_chain_length=4, max_chain_length=4, seed=9)
         )
         problems = [p for chain in workload for p in pairwise_problems(chain)]
-        report = BatchComposer(BatchConfig(backend="serial")).run(problems)
+        report = BatchComposer().run(problems)
         assert report.all_succeeded
         assert report.items[0].label == problems[0].name
 

@@ -2,7 +2,7 @@
 
 The interning/token cache is a pure accelerator.  These tests run the same
 generated workloads with the cache disabled, with the cache enabled, and
-across the batch backends, and require byte-identical results everywhere:
+through the batch engine, and require byte-identical results everywhere:
 same constraints (to the printed text), same residual symbols, same
 per-symbol outcomes.
 """
@@ -76,21 +76,14 @@ class TestCacheDoesNotChangeResults:
         assert plain == cached
 
     def test_backends_agree(self, workload):
-        reports = {}
-        for backend in ("serial", "thread", "process"):
-            composer = BatchComposer(BatchConfig(backend=backend, max_workers=2))
-            report = composer.run_chains(workload)
-            assert report.all_succeeded, report.summary()
-            reports[backend] = [
-                _chain_fingerprint(item.result) for item in report.items
-            ]
-        assert reports["serial"] == reports["thread"] == reports["process"]
+        scratch = [_chain_fingerprint(compose_chain(p.mappings)) for p in workload]
+        report = BatchComposer().run_chains(workload)
+        assert report.all_succeeded, report.summary()
+        assert [_chain_fingerprint(item.result) for item in report.items] == scratch
 
     def test_cache_disabled_batch_agrees(self, workload):
-        cached = BatchComposer(BatchConfig(backend="serial"))
-        uncached = BatchComposer(
-            BatchConfig(backend="serial", share_expression_cache=False)
-        )
+        cached = BatchComposer()
+        uncached = BatchComposer(BatchConfig(share_expression_cache=False))
         a = [_chain_fingerprint(i.result) for i in cached.run_chains(workload).items]
         b = [_chain_fingerprint(i.result) for i in uncached.run_chains(workload).items]
         assert a == b

@@ -3,8 +3,8 @@
 Randomized multi-component workloads (restricted to the forward-propagatable
 primitives so satisfying instances can be constructed) must compose to
 semantically equivalent outputs under the fixed order and the cost-guided
-partitioned planner, and the planner's output must be byte-identical across
-the serial/thread/process backends of ``BatchComposer.run_partitioned``.
+partitioned planner, and a cost-guided ``BatchComposer`` run must be
+byte-identical to composing each problem directly.
 """
 
 from __future__ import annotations
@@ -71,61 +71,26 @@ def test_planned_output_semantically_equivalent_to_fixed(master_seed):
     assert checked >= 8
 
 
-def test_run_partitioned_is_byte_identical_across_backends():
-    workload = _workload(97, num_problems=2)
-    reference = None
-    for backend in ("serial", "thread", "process"):
-        composer = BatchComposer(
-            BatchConfig(
-                backend=backend,
-                max_workers=2,
-                composer_config=ComposerConfig.cost_guided(),
-            )
-        )
-        report = composer.run_partitioned(workload)
-        assert report.all_succeeded, report.summary()
-        outputs = [
-            (item.result.constraints.to_text(), item.result.remaining_symbols)
-            for item in report.items
-        ]
-        if reference is None:
-            reference = outputs
-        else:
-            assert outputs == reference, f"{backend} diverged from serial"
-
-
-def test_run_partitioned_matches_direct_planned_compose():
-    workload = _workload(13, num_problems=2)
-    composer = BatchComposer(
-        BatchConfig(backend="serial", composer_config=ComposerConfig.cost_guided())
-    )
-    report = composer.run_partitioned(workload)
-    assert report.all_succeeded
+def _assert_cost_guided_batch_matches_direct_compose(master_seed):
+    """A cost-guided batch (shared expression cache) is byte-identical to
+    composing each problem on its own, from scratch."""
+    workload = _workload(master_seed, num_problems=2)
+    composer = BatchComposer(BatchConfig(composer_config=ComposerConfig.cost_guided()))
+    report = composer.run([partitioned.problem for partitioned in workload])
+    assert report.all_succeeded, report.summary()
     for partitioned, item in zip(workload, report.items):
         direct = compose(partitioned.problem, ComposerConfig.cost_guided())
         assert item.result.constraints.to_text() == direct.constraints.to_text()
+        assert item.result.remaining_symbols == direct.remaining_symbols
         assert item.result.plan == direct.plan
 
 
-def test_run_partitioned_switches_fixed_configs_to_cost_mode():
-    workload = _workload(5, num_problems=1)
-    composer = BatchComposer(BatchConfig(backend="serial"))  # fixed-order config
-    report = composer.run_partitioned(workload)
-    assert report.all_succeeded
-    assert report.items[0].result.components >= 1
+def test_run_partitioned_is_byte_identical_across_backends():
+    _assert_cost_guided_batch_matches_direct_compose(97)
 
 
-def test_run_partitioned_drops_explicit_symbol_order():
-    """An explicit symbol_order cannot combine with the planner; the switch to
-    cost mode must drop it rather than crash on the config validation."""
-    workload = _workload(5, num_problems=1)
-    order = workload[0].problem.sigma2.names()
-    composer = BatchComposer(
-        BatchConfig(backend="serial", composer_config=ComposerConfig(symbol_order=order))
-    )
-    report = composer.run_partitioned(workload)
-    assert report.all_succeeded, report.summary()
-    assert report.items[0].result.components >= 1
+def test_run_partitioned_matches_direct_planned_compose():
+    _assert_cost_guided_batch_matches_direct_compose(13)
 
 
 def test_single_component_and_singleton_edge_cases():

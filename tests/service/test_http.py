@@ -4,7 +4,11 @@ The smoke contract CI relies on: start the service, submit one composition
 over HTTP, and the answer must be byte-identical to a direct ``compose()``.
 """
 
+import contextlib
+import http.client
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -14,7 +18,12 @@ from repro.catalog import MappingCatalog
 from repro.compose.composer import compose
 from repro.engine import ChainGrower, compose_chain
 from repro.literature.problems import problem_by_name
-from repro.service import CompositionService, ServiceConfig, ServiceHTTPServer
+from repro.service import (
+    CompositionService,
+    RouterHTTPServer,
+    ServiceConfig,
+    ServiceHTTPServer,
+)
 from repro.textio.format import problem_to_text
 from repro.textio.records import (
     chain_to_text,
@@ -46,6 +55,28 @@ def _post(url: str, body: str):
     request = urllib.request.Request(url, data=body.encode(), method="POST")
     with urllib.request.urlopen(request, timeout=60) as response:
         return response.status, response.read().decode(), dict(response.headers)
+
+
+@contextlib.contextmanager
+def _router_over(base: str):
+    """A router fronting one service; yields the router's base URL."""
+    with RouterHTTPServer([base], port=0, health_interval_seconds=30) as router:
+        host, port = router.address
+        yield f"http://{host}:{port}"
+
+
+def _post_declaring(base: str, content_length: str):
+    """POST /compose with a raw Content-Length header and no body."""
+    host, port = base.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.putrequest("POST", "/compose")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, response.read().decode()
+    finally:
+        connection.close()
 
 
 class TestEndpoints:
@@ -142,19 +173,83 @@ class TestEndpoints:
         assert excinfo.value.code == 400
 
     def test_malformed_content_length_is_400(self, stack):
-        import http.client
+        from repro.service.httpio import MAX_BODY_BYTES
 
         _, _, base = stack
+        cases = (
+            ("not-a-number", 400, "malformed"),
+            ("-5", 400, "negative"),
+            ("0", 400, "body required"),
+            (str(MAX_BODY_BYTES + 1), 413, "too large"),
+        )
+        with _router_over(base) as router_base:
+            # A zero length passes the router (bodiless POSTs such as
+            # /admin/promote are relayed) and the service refuses it.
+            for server_base in (base, router_base):
+                for content_length, status, message in cases:
+                    answer = _post_declaring(server_base, content_length)
+                    assert answer[0] == status, (server_base, content_length, answer)
+                    assert message in answer[1], (server_base, content_length, answer)
+
+
+class TestSlowClients:
+    @pytest.mark.parametrize("front", ["service", "router"])
+    def test_stalled_body_is_dropped_within_the_read_timeout(
+        self, stack, monkeypatch, front
+    ):
+        from repro.service import http as service_http
+        from repro.service import router as service_router
+        from repro.service.httpio import READ_TIMEOUT_SECONDS
+
+        handler = service_http._Handler if front == "service" else service_router._RouterHandler
+        assert handler.timeout == READ_TIMEOUT_SECONDS
+        # Same mechanism, shorter bound, so the test stays fast.
+        bound = 0.5
+        monkeypatch.setattr(handler, "timeout", bound)
+        _, _, service_base = stack
+        with contextlib.ExitStack() as fronts:
+            base = (
+                service_base
+                if front == "service"
+                else fronts.enter_context(_router_over(service_base))
+            )
+            host, port = base.removeprefix("http://").split(":")
+            client = socket.create_connection((host, int(port)), timeout=30)
+            try:
+                # Declare 1000 bytes, send 7, then stall.
+                client.sendall(
+                    b"POST /compose HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: 1000\r\n\r\npartial"
+                )
+                started = time.monotonic()
+                # The stalled connection pins only its own thread.
+                assert _get(base + "/healthz")[0] == 200
+                received = b""
+                while True:
+                    chunk = client.recv(4096)
+                    if not chunk:
+                        break
+                    received += chunk
+                elapsed = time.monotonic() - started
+            finally:
+                client.close()
+        assert received.split(b"\r\n", 1)[0].split()[1] == b"408"
+        assert elapsed < bound + 5.0
+
+    def test_body_cut_short_is_400(self, stack):
+        _, _, base = stack
         host, port = base.removeprefix("http://").split(":")
-        connection = http.client.HTTPConnection(host, int(port), timeout=30)
-        try:
-            connection.putrequest("POST", "/compose")
-            connection.putheader("Content-Length", "not-a-number")
-            connection.endheaders()
-            response = connection.getresponse()
-            assert response.status == 400
-        finally:
-            connection.close()
+        with socket.create_connection((host, int(port)), timeout=30) as client:
+            # Declare 1000 bytes, send 7, then close the sending side: the
+            # truncated record must not be composed.
+            client.sendall(
+                b"POST /compose HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 1000\r\n\r\npartial"
+            )
+            client.shutdown(socket.SHUT_WR)
+            received = client.makefile("rb").read()
+        assert received.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert b"shorter than its Content-Length" in received
 
 
 class TestRetryAfter:

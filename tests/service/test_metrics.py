@@ -144,7 +144,8 @@ class TestPrometheusExposition:
         metrics.record_submitted()
         metrics.record_completed("succeeded", queue_seconds=0.003, execution_seconds=0.04)
         metrics.observe("journal_fsync_seconds", 0.007)
-        metrics.record_batch(4, "thread", {"hits": 3, "misses": 1})
+        metrics.record_batch(4, {"hits": 3, "misses": 1})
+        metrics.record_batch_failure("OSError", items=2)
         text = metrics.render_prometheus(pending=2, in_flight=1)
         types, samples = _parse_prometheus(text)
 
@@ -152,7 +153,8 @@ class TestPrometheusExposition:
         assert samples["repro_requests_completed"][()] == 1.0
         assert samples["repro_requests_pending"][()] == 2.0
         # Dict tallies render as labeled samples.
-        assert samples["repro_batching_backends"][(("key", "thread"),)] == 1.0
+        assert samples["repro_batching_batches"][()] == 1.0
+        assert samples["repro_degradation_batch_failure_types"][(("key", "OSError"),)] == 1.0
 
         # The acceptance bar: histogram buckets for queue, execution, fsync.
         for stem in (

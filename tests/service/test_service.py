@@ -62,7 +62,7 @@ class TestBasics:
     def test_partitioned_request(self, service):
         problem = problem_by_name("glav_chain").problem
         direct = compose(problem, ComposerConfig.cost_guided())
-        served = service.compose(problem, partitioned=True)
+        served = service.compose(problem, ComposerConfig.cost_guided())
         assert _constraints_text(served) == _constraints_text(direct)
 
     def test_per_request_config_override(self, service):

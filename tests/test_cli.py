@@ -96,6 +96,17 @@ class TestComposeCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestServeArguments:
+    @pytest.mark.parametrize("flag", [["--backend", "serial"], ["--max-workers", "2"]])
+    def test_pool_flags_are_rejected(self, flag, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCatalogGCCommand:
     def test_gc_bounds_checkpoints_and_prefix_reuse_survives(self, root, record_files, capsys):
         assert main(["--root", root, "catalog", "add", record_files["chain"]]) == 0
