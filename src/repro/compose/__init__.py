@@ -10,7 +10,6 @@ from repro.compose.planner import (
     build_plan,
     compose_component,
     order_symbols,
-    plan_compose,
     symbol_cost,
 )
 from repro.compose.result import CompositionResult, EliminationMethod, EliminationOutcome
@@ -35,7 +34,6 @@ __all__ = [
     "build_plan",
     "compose_component",
     "order_symbols",
-    "plan_compose",
     "symbol_cost",
     "CompositionResult",
     "EliminationMethod",

@@ -38,16 +38,19 @@ class ComposerConfig:
     symbol_order:
         Optional explicit order in which σ2 symbols are attempted.  When
         ``None``, the order of the intermediate signature is used (the paper
-        follows "the user-specified ordering on the relation symbols in σ2").
-        Only meaningful with ``elimination_order="fixed"``; the cost-guided
-        planner computes its own order, so combining the two is rejected.
+        follows "the user-specified ordering on the relation symbols in σ2");
+        σ2 symbols the order omits are appended in signature order.  Naming
+        a symbol twice is rejected.  Only meaningful with
+        ``elimination_order="fixed"``; the cost-guided planner computes its
+        own order, so combining the two is rejected.
     elimination_order:
-        ``"fixed"`` (the default) walks the σ2 symbols in one configured
-        order over the whole constraint set — the paper's behaviour, byte-
-        identical to previous releases.  ``"cost"`` routes the composition
-        through :mod:`repro.compose.planner`: the problem is split into
-        independent connected components of the symbol co-occurrence graph,
-        each component orders its eliminations by a cost model fed from the
+        Selects the plan :func:`~repro.compose.composer.compose` executes
+        (see :mod:`repro.compose.planner`).  ``"fixed"`` (the default) is
+        the degenerate plan — the paper's behaviour: one component holding
+        the whole constraint set, the σ2 symbols walked once in the
+        configured order.  ``"cost"`` splits the problem into independent
+        connected components of the symbol co-occurrence graph, each
+        component orders its eliminations by a cost model fed from the
         cached constraint summaries, and symbols that fail are re-queued
         after the cheaper ones instead of being given up in one pass.
     max_normalization_steps:
@@ -82,6 +85,10 @@ class ComposerConfig:
             raise CompositionError(
                 "symbol_order is only honoured with elimination_order='fixed'; "
                 "the cost-guided planner computes its own order"
+            )
+        if self.symbol_order is not None and len(set(self.symbol_order)) < len(self.symbol_order):
+            raise CompositionError(
+                f"symbol_order names a σ2 symbol more than once: {tuple(self.symbol_order)}"
             )
 
     # -- convenience constructors matching the paper's configurations -------------

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from repro.compose.config import ComposerConfig
 from repro.compose.left_compose import left_compose
-from repro.compose.phases import timed
+from repro.compose.phases import charge, timed
 from repro.compose.result import EliminationMethod, EliminationOutcome
 from repro.compose.right_compose import right_compose
 from repro.compose.view_unfolding import unfold_view
@@ -65,13 +65,19 @@ def eliminate(
     blowup_aborted = False
 
     def finish(result: ConstraintSet, method: EliminationMethod) -> Tuple[ConstraintSet, EliminationOutcome]:
+        # The one measurement of the attempt: stamped on the outcome and
+        # charged to the "eliminate" phase bucket.
         duration = time.perf_counter() - started
+        charge("eliminate", duration)
+        success = method is not EliminationMethod.FAILED
         outcome = EliminationOutcome(
             symbol=symbol,
-            success=True,
+            success=success,
             method=method,
             duration_seconds=duration,
             failure_reasons=tuple(reasons),
+            # Only a failure is a blow-up abort: a later step may still win.
+            blowup_aborted=blowup_aborted and not success,
         )
         return result, outcome
 
@@ -149,13 +155,4 @@ def eliminate(
     else:
         reasons.append("right compose disabled")
 
-    duration = time.perf_counter() - started
-    outcome = EliminationOutcome(
-        symbol=symbol,
-        success=False,
-        method=EliminationMethod.FAILED,
-        duration_seconds=duration,
-        failure_reasons=tuple(reasons),
-        blowup_aborted=blowup_aborted,
-    )
-    return constraints, outcome
+    return finish(constraints, EliminationMethod.FAILED)

@@ -114,9 +114,9 @@ def timed(name: str) -> _PhaseTimer:
 def charge(name: str, seconds: float) -> None:
     """Add an already-measured duration to bucket ``name``, if collecting.
 
-    For callers that measure a span anyway (the composer times every symbol
-    for its :class:`EliminationOutcome`), charging the measured number avoids
-    a second pair of clock reads.
+    For callers that measure a span anyway: ``eliminate`` times every attempt
+    for its :class:`~repro.compose.result.EliminationOutcome` and charges the
+    same number to ``eliminate``, so each attempt is timed once.
     """
     buckets = getattr(_local, "buckets", None)
     if buckets is not None:

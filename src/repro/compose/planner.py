@@ -1,10 +1,13 @@
-"""Cost-guided elimination planning for COMPOSE.
+"""Elimination plans for COMPOSE, and its one per-symbol elimination loop.
 
-The paper's COMPOSE is best-effort and order-sensitive: which σ2 symbol is
-attempted first decides both how often the blow-up guard fires and how large
-the intermediate constraint sets grow, yet the fixed-order composer walks one
-configured order over the entire Σ12 ∪ Σ23 set.  The planner exploits the
-structure the constraint-set mention index already caches:
+:func:`repro.compose.composer.compose` runs a plan: each component goes
+through :func:`compose_component`, and :func:`merge_outputs` splices the
+outputs back together.  The paper's fixed order is the degenerate plan,
+:func:`fixed_plan`: one component holding the whole Σ12 ∪ Σ23 set, attempted
+once in the user-given order.  But COMPOSE is order-sensitive — which σ2
+symbol is attempted first decides both how often the blow-up guard fires and
+how large the intermediate sets grow — so the cost-guided plan
+(:func:`build_plan`) exploits the structure the mention index caches:
 
 1. **Partitioning.**  Two σ2 symbols *interact* only if some constraint
    mentions both — elimination reads and rewrites exclusively constraints
@@ -37,23 +40,22 @@ order, guard baselines and retries legitimately differ.
 
 Components are composed one after another, in plan order, and merged at
 their original positions, so the output does not depend on how long any
-component took.
+component took.  The ``planner`` phase bucket times the cost-guided plan's
+construction; the fixed plan costs nothing worth timing.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algebra.simplify import simplify_constraint_set
 from repro.compose.config import ComposerConfig
 from repro.compose.eliminate import eliminate
-from repro.compose.phases import charge, collect_phases, timed
-from repro.compose.result import CompositionResult, EliminationMethod, EliminationOutcome
+from repro.compose.result import EliminationOutcome
 from repro.constraints.constraint import Constraint, EqualityConstraint
 from repro.constraints.constraint_set import ConstraintSet
-from repro.mapping.composition_problem import CompositionProblem
+from repro.exceptions import CompositionError
+from repro.schema.signature import Signature
 
 __all__ = [
     "MAX_ELIMINATION_PASSES",
@@ -64,7 +66,8 @@ __all__ = [
     "symbol_cost",
     "order_symbols",
     "compose_component",
-    "plan_compose",
+    "fixed_plan",
+    "merge_outputs",
 ]
 
 #: Upper bound on elimination passes per component.  The loop already stops at
@@ -201,6 +204,27 @@ def build_plan(constraints: ConstraintSet, symbols: Sequence[str]) -> Compositio
     )
 
 
+def fixed_plan(
+    constraints: ConstraintSet,
+    sigma2: Signature,
+    symbol_order: Optional[Sequence[str]] = None,
+) -> CompositionPlan:
+    """The fixed-order plan: the paper's Section 3.1 loop as one component.
+
+    The component holds the whole constraint set (so the blow-up baseline is
+    the whole problem's size) and every σ2 symbol — unmentioned ones too,
+    which ELIMINATE drops for free — in ``symbol_order``, with the omitted
+    symbols appended in signature order.
+    """
+    order = tuple(symbol_order or ())
+    unknown = [name for name in order if name not in sigma2]
+    if unknown:
+        raise CompositionError(f"symbol_order mentions relations that are not in σ2: {unknown}")
+    order += tuple(name for name in sigma2.names() if name not in order)
+    component = PlannedComponent(order, tuple(range(len(constraints))), constraints.operator_count())
+    return CompositionPlan(components=(component,), free_symbols=(), untouched_indices=())
+
+
 def symbol_cost(constraints: ConstraintSet, symbol: str) -> Tuple[int, int, int]:
     """Estimated elimination cost of ``symbol`` against ``constraints``.
 
@@ -254,27 +278,31 @@ def compose_component(
     arities: Sequence[int],
     config: ComposerConfig,
 ) -> ComponentResult:
-    """Eliminate ``symbols`` from a component's constraint set, cost-first.
+    """Eliminate ``symbols`` from a component's constraint set.
 
-    The blow-up baseline is the *component's* input operator count.  Failed
-    symbols are re-queued: after every pass that made progress, the remaining
-    failures are re-ranked against the rewritten set and retried (the
-    surrounding constraints changed, so a previously dead elimination may now
-    go through), up to :data:`MAX_ELIMINATION_PASSES` passes.
+    This is COMPOSE's one per-symbol loop; the blow-up baseline is the
+    component's input operator count.  In cost order the symbols are
+    attempted cheapest-first and failures are re-queued: after every pass
+    that made progress, the remaining failures are re-ranked against the
+    rewritten set and retried (the surrounding constraints changed, so a
+    previously dead elimination may now go through), up to
+    :data:`MAX_ELIMINATION_PASSES` passes.  In fixed order each symbol is
+    attempted once, in the given order.
     """
+    ranked = config.elimination_order == "cost"
+    max_passes = MAX_ELIMINATION_PASSES if ranked else 1
     arity_of = dict(zip(symbols, arities))
     baseline = constraints.operator_count()
     final: Dict[str, EliminationOutcome] = {}
     first_order: List[str] = []
-    remaining: List[str] = list(symbols)
+    remaining: Sequence[str] = symbols
     reorderings = 0
     passes = 0
-    while remaining and passes < MAX_ELIMINATION_PASSES:
+    while remaining and passes < max_passes:
         passes += 1
         failed: List[str] = []
         progress = False
-        for symbol in order_symbols(constraints, remaining):
-            symbol_started = time.perf_counter()
+        for symbol in order_symbols(constraints, remaining) if ranked else remaining:
             constraints, outcome = eliminate(
                 constraints,
                 symbol,
@@ -282,9 +310,6 @@ def compose_component(
                 config,
                 baseline_operator_count=baseline,
             )
-            symbol_seconds = time.perf_counter() - symbol_started
-            charge("eliminate", symbol_seconds)
-            outcome = replace(outcome, duration_seconds=symbol_seconds)
             if symbol in final:
                 reorderings += 1
             else:
@@ -305,7 +330,7 @@ def compose_component(
     )
 
 
-def _merge_outputs(
+def merge_outputs(
     original: ConstraintSet,
     plan: CompositionPlan,
     component_results: Sequence[ComponentResult],
@@ -313,8 +338,12 @@ def _merge_outputs(
     """Splice the per-component outputs back into one constraint set.
 
     Untouched constraints keep their original positions; each component's
-    whole output lands at the slot of the component's first constraint.
+    whole output lands at the slot of the component's first constraint.  A
+    plan whose one component holds every constraint (the fixed-order plan)
+    has nothing to splice: its output is the result.
     """
+    if len(plan.components) == 1 and not plan.untouched_indices:
+        return component_results[0].constraints
     output_at: Dict[int, ConstraintSet] = {
         component.constraint_indices[0]: result.constraints
         for component, result in zip(plan.components, component_results)
@@ -327,71 +356,3 @@ def _merge_outputs(
         elif index in output_at:
             merged.extend(output_at[index])
     return ConstraintSet(merged)
-
-
-def plan_compose(
-    problem: CompositionProblem,
-    config: Optional[ComposerConfig] = None,
-) -> CompositionResult:
-    """Run the cost-guided planned composition of ``problem``.
-
-    This is ``compose`` for ``ComposerConfig(elimination_order="cost")``:
-    partition, per-component cost-ordered elimination with bounded retries,
-    merge, final simplification.
-    """
-    config = config or ComposerConfig()
-    started = time.perf_counter()
-
-    constraints: ConstraintSet = problem.all_constraints
-    input_operator_count = constraints.operator_count()
-    sigma2 = problem.sigma2
-    sigma2_names = sigma2.names()
-
-    with collect_phases() as phase_buckets:
-        with timed("planner"):
-            plan = build_plan(constraints, sigma2_names)
-            jobs = []
-            for component in plan.components:
-                jobs.append(
-                    (
-                        constraints.subset(component.constraint_indices),
-                        component.symbols,
-                        tuple(sigma2.arity_of(symbol) for symbol in component.symbols),
-                        config,
-                    )
-                )
-
-        component_results = [compose_component(*job) for job in jobs]
-
-        merged = _merge_outputs(constraints, plan, component_results)
-        if config.simplify_output:
-            with timed("simplify"):
-                merged = simplify_constraint_set(merged, config.registry)
-
-    outcome_by_symbol: Dict[str, EliminationOutcome] = {
-        symbol: EliminationOutcome(
-            symbol=symbol, success=True, method=EliminationMethod.NOT_MENTIONED
-        )
-        for symbol in plan.free_symbols
-    }
-    for result in component_results:
-        for outcome in result.outcomes:
-            outcome_by_symbol[outcome.symbol] = outcome
-    outcomes = tuple(outcome_by_symbol[symbol] for symbol in sigma2_names)
-    eliminated = [outcome.symbol for outcome in outcomes if outcome.success]
-    residual = sigma2.removing(*eliminated) if eliminated else sigma2
-
-    return CompositionResult(
-        sigma1=problem.sigma1,
-        sigma3=problem.sigma3,
-        residual_sigma2=residual,
-        constraints=merged,
-        outcomes=outcomes,
-        elapsed_seconds=time.perf_counter() - started,
-        input_operator_count=input_operator_count,
-        output_operator_count=merged.operator_count(),
-        phase_seconds=tuple(sorted(phase_buckets.items())),
-        plan=tuple(result.order for result in component_results),
-        components=len(plan.components),
-        reorderings=sum(result.reorderings for result in component_results),
-    )

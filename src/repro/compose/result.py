@@ -31,7 +31,14 @@ class EliminationMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class EliminationOutcome:
-    """The outcome of attempting to eliminate a single σ2 symbol."""
+    """The outcome of attempting to eliminate a single σ2 symbol.
+
+    ``duration_seconds`` is the wall-clock time of the ELIMINATE attempt, as
+    :func:`repro.compose.eliminate.eliminate` measures it; the same number is
+    charged to the ``eliminate`` phase bucket.  When the cost-guided planner
+    retries a symbol, its outcome is the last attempt's.  Symbols the planner
+    drops without an attempt (mentioned by no constraint) record 0.
+    """
 
     symbol: str
     success: bool
@@ -39,16 +46,6 @@ class EliminationOutcome:
     duration_seconds: float = 0.0
     failure_reasons: Tuple[str, ...] = ()
     blowup_aborted: bool = False
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Per-symbol elapsed time (alias of ``duration_seconds``).
-
-        Inside :func:`repro.compose.composer.compose` this is the wall-clock
-        time COMPOSE spent on the symbol; standalone ``eliminate`` calls
-        record their own internal timing here.
-        """
-        return self.duration_seconds
 
     def __repr__(self) -> str:
         status = "eliminated" if self.success else "kept"
@@ -68,7 +65,9 @@ class CompositionResult:
     constraints:
         The output constraint set over σ1 ∪ residual σ2 ∪ σ3.
     outcomes:
-        Per-symbol elimination outcomes, in the order the symbols were tried.
+        Per-symbol elimination outcomes, one per σ2 symbol: in the order the
+        symbols were tried for fixed-order compositions, in σ2 signature
+        order for cost-guided ones.
     elapsed_seconds:
         Wall-clock time of the whole composition.
     input_operator_count / output_operator_count:
@@ -81,13 +80,14 @@ class CompositionResult:
         ``view_unfolding`` are inside it, and ``normalize``/``deskolemize``
         are inside the compose steps; ``simplify`` is the final pass.
     plan:
-        The cost-guided planner's per-component elimination orders (one tuple
+        The cost-guided plan's per-component elimination orders (one tuple
         of σ2 symbols per connected component of the symbol co-occurrence
         graph, in the order the first pass attempted them).  Empty for
-        fixed-order compositions.
+        fixed-order compositions, whose degenerate plan is the single
+        configured order already visible in ``outcomes``.
     components:
-        Number of independent components the planner composed (0 for
-        fixed-order compositions).
+        Number of independent components the cost-guided plan composed (0
+        for fixed-order compositions).
     reorderings:
         Number of retry attempts the planner's bounded backtracking made —
         elimination attempts beyond each symbol's first (0 when every symbol

@@ -115,8 +115,8 @@ class ConstraintSet:
     def subset(self, indices: Iterable[int]) -> "ConstraintSet":
         """Return the set of constraints at ``indices``, in the given order.
 
-        The composition planner carves a problem's constraint set into
-        per-component sub-sets this way (see :mod:`repro.compose.planner`).
+        The cost-guided composition plan carves a problem's constraint set
+        into per-component sub-sets this way (see :mod:`repro.compose.planner`).
         """
         return ConstraintSet(self._constraints[index] for index in indices)
 

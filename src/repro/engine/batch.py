@@ -345,9 +345,9 @@ class BatchComposer:
     def run(self, problems: Sequence[CompositionProblem]) -> BatchReport:
         """Compose every problem; payloads are :class:`CompositionResult` objects.
 
-        A ``composer_config`` of ``ComposerConfig.cost_guided()`` composes
-        each problem's independent constraint-graph components with the
-        planner (:mod:`repro.compose.planner`).
+        Each problem goes through :func:`compose`, so the configured
+        ``elimination_order`` picks its plan: ``ComposerConfig.cost_guided()``
+        composes each independent constraint-graph component on its own.
         """
         labels = [
             problem.name or f"problem[{index}]" for index, problem in enumerate(problems)

@@ -158,6 +158,15 @@ class TestCompose:
         with pytest.raises(CompositionError):
             compose(chain_problem(), ComposerConfig(symbol_order=["Nope"]))
 
+    def test_symbol_order_with_duplicate_symbol_rejected(self):
+        # A repeated name would be attempted twice, inflating the outcome
+        # count (and fraction_eliminated), and would give the config a
+        # different fingerprint from the single-name order.
+        with pytest.raises(CompositionError, match="more than once"):
+            ComposerConfig(symbol_order=("S", "S"))
+        with pytest.raises(CompositionError, match="more than once"):
+            ComposerConfig().with_symbol_order(["S", "W", "S"])
+
     def test_symbol_order_missing_symbols_appended(self):
         problem = CompositionProblem(
             sigma1=Signature.from_arities({"R": 2}),

@@ -18,7 +18,6 @@ from repro.compose import (
     compose_component,
     eliminate,
     order_symbols,
-    plan_compose,
     symbol_cost,
 )
 from repro.compose import planner as planner_module
@@ -171,7 +170,7 @@ def test_compose_component_requeues_failed_symbols(monkeypatch):
     monkeypatch.setattr(
         planner_module, "order_symbols", lambda _constraints, symbols: tuple(symbols)
     )
-    result = compose_component(constraints, ("B", "A"), (1, 1), ComposerConfig())
+    result = compose_component(constraints, ("B", "A"), (1, 1), ComposerConfig.cost_guided())
     assert result.order == ("B", "A")
     assert result.reorderings == 1  # B retried once, after A
     assert len(result.outcomes) == 2  # final outcome per symbol, no duplicates
@@ -183,17 +182,17 @@ def test_compose_component_stops_when_no_progress():
     constraints = ConstraintSet(
         [ContainmentConstraint(_rel("A"), Union(_rel("A"), _rel("R1")))]
     )
-    result = compose_component(constraints, ("A",), (1,), ComposerConfig())
+    result = compose_component(constraints, ("A",), (1,), ComposerConfig.cost_guided())
     assert result.reorderings == 0
     assert [outcome.success for outcome in result.outcomes] == [False]
 
 
 # ---------------------------------------------------------------------------
-# plan_compose and the compose() integration
+# Cost-guided compose()
 # ---------------------------------------------------------------------------
 
 
-def test_plan_compose_matches_fixed_on_simple_views():
+def test_cost_guided_compose_matches_fixed_on_simple_views():
     problem = _problem(
         {"R1": 1, "R2": 1},
         {"A": 1, "B": 1},
@@ -219,7 +218,7 @@ def test_plan_compose_matches_fixed_on_simple_views():
     assert fixed.components == 0 and fixed.plan == ()
 
 
-def test_plan_compose_free_symbols_and_untouched_constraints():
+def test_cost_guided_compose_free_symbols_and_untouched_constraints():
     problem = _problem(
         {"R1": 1, "R2": 1},
         {"A": 1, "Z": 1},  # Z is mentioned nowhere
@@ -230,7 +229,7 @@ def test_plan_compose_free_symbols_and_untouched_constraints():
         ],
         [ContainmentConstraint(_rel("A"), _rel("S1"))],
     )
-    planned = plan_compose(problem, ComposerConfig.cost_guided())
+    planned = compose(problem, ComposerConfig.cost_guided())
     assert planned.is_complete
     assert planned.outcome_for("Z").method == EliminationMethod.NOT_MENTIONED
     assert planned.components == 1

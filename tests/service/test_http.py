@@ -14,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.catalog import MappingCatalog
 from repro.compose.composer import compose
 from repro.engine import ChainGrower, compose_chain
@@ -250,6 +251,43 @@ class TestSlowClients:
             received = client.makefile("rb").read()
         assert received.split(b"\r\n", 1)[0].split()[1] == b"400"
         assert b"shorter than its Content-Length" in received
+
+
+class TestTraceEcho:
+    def test_router_503_carries_the_router_trace_id(self):
+        # Reserve a port and close it again: nothing listens there, so the
+        # router has no backend to relay to and answers the 503 itself.
+        with socket.socket() as reserved:
+            reserved.bind(("127.0.0.1", 0))
+            dead_port = reserved.getsockname()[1]
+        with _router_over(f"http://127.0.0.1:{dead_port}") as router_base:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(router_base + "/compose", "[problem]\n")
+        assert excinfo.value.code == 503
+        trace_id = excinfo.value.headers[obs.TRACE_ID_HEADER]
+        span_id = excinfo.value.headers[obs.SPAN_ID_HEADER]
+        assert trace_id and span_id
+        # The echo names the router's own ingress span.
+        ingress = {
+            record["span_id"]
+            for record in obs.recorder().spans(trace_id)
+            if record["name"] == "router.request"
+        }
+        assert ingress == {span_id}
+
+    def test_service_answers_echo_the_trace_id_once(self, stack):
+        _, _, base = stack
+        problem = problem_by_name("example1_movies").problem
+        with _router_over(base) as router_base:
+            for server_base in (base, router_base):
+                request = urllib.request.Request(
+                    server_base + "/compose",
+                    data=problem_to_text(problem).encode(),
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=60) as response:
+                    assert len(response.headers.get_all(obs.TRACE_ID_HEADER)) == 1
+                    assert len(response.headers.get_all(obs.SPAN_ID_HEADER)) == 1
 
 
 class TestRetryAfter:
