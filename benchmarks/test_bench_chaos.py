@@ -81,7 +81,6 @@ served = set()
 requests = 0
 started = time.perf_counter()
 config = ServiceConfig(
-    micro_batch_wait_seconds=0.0,
     admission="block",
     deadline_seconds=120.0,
     lease_ttl_seconds=10.0,

@@ -54,7 +54,7 @@ from repro.catalog import MappingCatalog
 from repro.service import CompositionService, ServiceConfig, ServiceHTTPServer
 
 catalog = MappingCatalog(sys.argv[1])
-service = CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0))
+service = CompositionService(catalog, ServiceConfig())
 service.start()
 server = ServiceHTTPServer(service, port=0)
 server.start()
@@ -75,7 +75,7 @@ catalog = MappingCatalog(sys.argv[1])
 follower = ReplicationFollower(
     catalog, open_source(sys.argv[2]), poll_interval_seconds=0.05
 ).start()
-service = CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0))
+service = CompositionService(catalog, ServiceConfig())
 service.start()
 server = ServiceHTTPServer(service, port=0, follower=follower)
 server.start()

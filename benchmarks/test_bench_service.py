@@ -39,7 +39,7 @@ ROUNDS = 3
 def _serve_once(root):
     """One full serving stack lifetime on ``root``: construct, serve, tear down."""
     catalog = MappingCatalog(root)
-    with CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0)) as svc:
+    with CompositionService(catalog, ServiceConfig()) as svc:
         wall_started = time.perf_counter()
         cpu_started = time.process_time()
         result = svc.compose_catalog("chain", "history")

@@ -56,9 +56,7 @@ catalog = MappingCatalog(root)
 served = {}
 requests = 0
 started = time.perf_counter()
-config = ServiceConfig(
-    micro_batch_wait_seconds=0.0, admission="block", deadline_seconds=120.0
-)
+config = ServiceConfig(admission="block", deadline_seconds=120.0)
 with CompositionService(catalog, config) as svc:
     for round_index in range(rounds):
         for name in ("history-a", "history-b"):

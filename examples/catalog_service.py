@@ -34,7 +34,7 @@ from repro.service import CompositionService, ServiceConfig
 def serve_once(root, name="history"):
     """One serving-stack lifetime: construct on ``root``, compose, tear down."""
     catalog = MappingCatalog(root)
-    with CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0)) as service:
+    with CompositionService(catalog, ServiceConfig()) as service:
         started = time.perf_counter()
         result = service.compose_catalog("chain", name)
         elapsed = time.perf_counter() - started

@@ -141,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser("serve", help="start the HTTP composition service")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8075)
-    serve.add_argument("--micro-batch-size", type=int, default=16)
-    serve.add_argument("--micro-batch-wait", type=float, default=0.002, metavar="SECONDS")
     serve.add_argument("--max-pending", type=int, default=1024)
     serve.add_argument(
         "--admission", choices=("reject", "block"), default="reject",
@@ -474,8 +472,6 @@ def _cmd_serve(args) -> int:
             max_pending=args.max_pending,
             admission=args.admission,
             deadline_seconds=args.deadline,
-            micro_batch_size=args.micro_batch_size,
-            micro_batch_wait_seconds=args.micro_batch_wait,
             timeout_seconds=args.timeout,
             gc_interval_seconds=args.gc_interval,
             gc_checkpoint_max_files=args.gc_max_checkpoint_files,

@@ -66,7 +66,6 @@ from repro.catalog.journal import CatalogJournal
 from repro.catalog.storage import FileLock, atomic_write_text
 from repro.compose.result import CompositionResult
 from repro.retry import RetryPolicy, RetryStats
-from repro.engine.checkpoint import DEFAULT_MAX_CHECKPOINTS
 from repro.engine.fingerprint import chain_fingerprint
 from repro.exceptions import CatalogError, JournalError, ParseError, StaleEpochError
 from repro.mapping.composition_problem import CompositionProblem
@@ -174,6 +173,13 @@ def _result_fingerprint(result: CompositionResult) -> bytes:
     return h.digest()
 
 
+#: Default in-memory bound of the catalog's checkpoint store.  The files are
+#: the durable copy, so memory only needs the recent prefixes of the chains
+#: being served; an entry costs ~26 KB on the ``serve_evolve`` chains, and a
+#: larger table grows a serving process with every write until it resets.
+MEMORY_CHECKPOINTS = 256
+
+
 class MappingCatalog:
     """A persistent, versioned store rooted at one directory.
 
@@ -188,7 +194,7 @@ class MappingCatalog:
     def __init__(
         self,
         root: Union[str, Path],
-        checkpoint_max_entries: int = DEFAULT_MAX_CHECKPOINTS,
+        checkpoint_max_entries: int = MEMORY_CHECKPOINTS,
         lock_timeout_seconds: Optional[float] = DEFAULT_LOCK_TIMEOUT_SECONDS,
         retry_policy: Optional[RetryPolicy] = None,
         journal: bool = True,

@@ -303,6 +303,7 @@ class PersistentCheckpointStore(CheckpointStore):
         self.disk_errors = self.disk_skipped = 0
 
     def stats(self) -> Dict[str, float]:
+        """The in-memory counters; :meth:`disk_entries` counts the files."""
         stats = super().stats()
         stats.update(
             {
@@ -311,7 +312,6 @@ class PersistentCheckpointStore(CheckpointStore):
                 "disk_invalid": self.disk_invalid,
                 "disk_errors": self.disk_errors,
                 "disk_skipped": self.disk_skipped,
-                "disk_entries": self.disk_entries(),
                 "retries": self.retry_stats.snapshot(),
             }
         )

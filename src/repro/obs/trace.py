@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 import time
 from collections import deque
@@ -34,12 +35,19 @@ SERVICE_ENV_VAR = "REPRO_TRACE_SERVICE"
 _RING_CAPACITY = 4096
 
 
+# Ids only need to be unique, not secret: one process-local generator,
+# seeded from the OS once and reseeded in every forked child (which would
+# otherwise repeat its parent's sequence), spares a syscall per span.
+_ids = random.Random(os.urandom(16))
+os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
+
+
 def new_trace_id() -> str:
-    return os.urandom(16).hex()
+    return format(_ids.getrandbits(128), "032x")
 
 
 def new_span_id() -> str:
-    return os.urandom(8).hex()
+    return format(_ids.getrandbits(64), "016x")
 
 
 @dataclass(frozen=True)

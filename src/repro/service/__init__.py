@@ -2,8 +2,9 @@
 
 * :mod:`repro.service.server` — :class:`CompositionService`: a request queue
   with admission control, in-flight deduplication (identical fingerprints
-  coalesce to one computation), micro-batching into
-  :class:`~repro.engine.batch.BatchComposer` calls, per-request
+  coalesce to one computation), caller-runs execution — one composition
+  at a time, on the calling thread, through
+  :class:`~repro.engine.batch.BatchComposer` — per-request
   :class:`~repro.compose.config.ComposerConfig` overrides, and durable hop
   checkpoints when backed by a :class:`~repro.catalog.MappingCatalog`;
 * :mod:`repro.service.metrics` — the metrics the service aggregates
@@ -35,7 +36,7 @@
 
 from repro.service.breaker import CircuitBreaker
 from repro.service.election import LeaderElector
-from repro.service.http import ServiceHTTPServer, serve
+from repro.service.http import ServiceHTTPServer
 from repro.service.metrics import ServiceMetrics
 from repro.service.replica import (
     HTTPJournalSource,
@@ -43,7 +44,7 @@ from repro.service.replica import (
     ReplicationFollower,
     open_source,
 )
-from repro.service.router import RouterHTTPServer, route
+from repro.service.router import RouterHTTPServer
 from repro.service.server import CompositionService, ServiceConfig, Ticket
 
 __all__ = [
@@ -59,6 +60,4 @@ __all__ = [
     "ServiceMetrics",
     "Ticket",
     "open_source",
-    "route",
-    "serve",
 ]

@@ -6,7 +6,7 @@ text-first — everything speaks the plain-text record formats of
 
 * ``GET /healthz`` — the service's *real* health as JSON: ``200`` with
   ``"status": "ok"`` when healthy, ``503`` with ``"status": "degraded"`` plus
-  the reasons (storage circuit breaker open, serving loop down, GC sweep
+  the reasons (storage circuit breaker open, service not running, GC sweep
   overdue), the breaker snapshot, the last GC sweep age, and the storage
   error counters.  Load balancers key on the status code; operators read the
   body.
@@ -54,11 +54,16 @@ while still following (a follower's catalog mirrors its primary; writing to
 it locally would fork the replicated sequence space).
 
 Requests funnel through the shared :class:`CompositionService`, so HTTP
-clients get the same admission control, deduplication, micro-batching and
-metrics as in-process callers.  Overload answers ``429``, malformed records
-``400``, unknown entries ``404``; ``429`` and degraded ``503`` responses
-carry a ``Retry-After`` header derived from the breaker probe interval so
-clients and routers back off instead of hammering a recovering node.
+clients get the same admission control, deduplication and metrics as
+in-process callers.  Each connection has its own handler thread, and a
+``POST /compose`` composes on it: the service runs one composition at a
+time, so a request waits only for the composition ahead of it.
+Connections are persistent HTTP/1.1 (:mod:`repro.service.httpio`), so a
+client pays the TCP connect once, not per request.  Overload answers
+``429``, malformed records ``400``, unknown entries ``404``; ``429`` and
+degraded ``503`` responses carry a ``Retry-After`` header derived from the
+breaker probe interval so clients and routers back off instead of
+hammering a recovering node.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     StaleEpochError,
 )
-from repro.service.httpio import RequestHandler, read_body
+from repro.service.httpio import HTTPServerHost, RequestHandler, read_body
 from repro.service.server import CompositionService
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replica imports catalog)
@@ -90,7 +95,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replica imports cata
 from repro.textio.format import problem_from_text
 from repro.textio.records import chain_from_text, detect_kind, mapping_to_text, result_to_text
 
-__all__ = ["ServiceHTTPServer", "serve"]
+__all__ = ["ServiceHTTPServer"]
 
 
 class _Handler(RequestHandler):
@@ -531,8 +536,8 @@ class _ServiceHTTPD(ThreadingHTTPServer):
         return "primary"
 
 
-class ServiceHTTPServer:
-    """Owns a :class:`ThreadingHTTPServer` bound to one composition service.
+class ServiceHTTPServer(HTTPServerHost):
+    """Serves one composition service over HTTP (start the service too).
 
     With a ``follower``, the server reports the ``follower`` role (until
     promotion), exposes its replication status, and rejects local catalog
@@ -549,85 +554,18 @@ class ServiceHTTPServer:
         elector: "Optional[LeaderElector]" = None,
         access_log: Optional[str] = None,
     ):
+        super().__init__(_ServiceHTTPD((host, port), _Handler), "repro-http")
         self.service = service
         self.follower = follower
         self.elector = elector
-        self._closed = False
         self._access_sink = _AccessSink(access_log) if access_log else None
-        self._httpd = _ServiceHTTPD((host, port), _Handler)
-        self._httpd.daemon_threads = True
         # Handlers reach the service through their ``server`` attribute.
         self._httpd.service = service
         self._httpd.verbose = verbose
         self._httpd.follower = follower
         self._httpd.elector = elector
         self._httpd.access_sink = self._access_sink
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — useful with ``port=0`` (ephemeral)."""
-        return self._httpd.server_address[:2]
-
-    def start(self) -> "ServiceHTTPServer":
-        """Serve in a background thread (the service must be started too)."""
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="repro-http", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.close()
-
-    def close(self) -> None:
-        """Release the listening socket (idempotent; safe after any exit path).
-
-        Without this the port stays held until process exit — an interrupted
-        foreground ``serve_forever`` (Ctrl-C) must close the socket before
-        the CLI goes on to drain the service.
-        """
-        if not self._closed:
-            self._closed = True
-            self._httpd.server_close()
-            if self._access_sink is not None:
-                self._access_sink.close()
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI's ``serve``)."""
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self.close()
-
-    def __enter__(self) -> "ServiceHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def serve(
-    service: CompositionService,
-    host: str = "127.0.0.1",
-    port: int = 8075,
-    verbose: bool = False,
-    follower: "Optional[ReplicationFollower]" = None,
-    elector: "Optional[LeaderElector]" = None,
-    access_log: Optional[str] = None,
-) -> ServiceHTTPServer:
-    """Convenience: build and start a :class:`ServiceHTTPServer`."""
-    return ServiceHTTPServer(
-        service,
-        host=host,
-        port=port,
-        verbose=verbose,
-        follower=follower,
-        elector=elector,
-        access_log=access_log,
-    ).start()
+    def _on_close(self) -> None:
+        if self._access_sink is not None:
+            self._access_sink.close()

@@ -51,12 +51,15 @@ from urllib.request import Request, urlopen
 
 from repro import faults, obs
 from repro.exceptions import ServiceError
-from repro.service.httpio import RequestHandler, read_body
+from repro.service.httpio import HTTPServerHost, RequestHandler, read_body
 
-__all__ = ["BackendState", "RouterHTTPServer", "route"]
+__all__ = ["BackendState", "RouterHTTPServer"]
 
-#: Headers that must not be forwarded verbatim from a proxied response.
-_HOP_HEADERS = {"connection", "keep-alive", "transfer-encoding", "server", "date"}
+#: Headers that must not be forwarded verbatim from a proxied response
+#: (the router's own writer sets the length and the connection handling).
+_HOP_HEADERS = {
+    "connection", "keep-alive", "transfer-encoding", "content-length", "server", "date",
+}
 
 
 class BackendState:
@@ -161,7 +164,7 @@ class _RouterHandler(RequestHandler):
             )
 
 
-class RouterHTTPServer:
+class RouterHTTPServer(HTTPServerHost):
     """The stdlib front tier: health-checked routing over service backends."""
 
     def __init__(
@@ -188,25 +191,17 @@ class RouterHTTPServer:
         self.min_consecutive_ok = min_consecutive_ok
         self._lock = threading.Lock()
         self._rotation = 0
-        self._closed = False
         self._health_stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
-        self._thread: Optional[threading.Thread] = None
         self.requests_routed = 0
         self.request_retries = 0
         self.requests_failed = 0
         self.failovers = 0
         self.poll_failures = 0
         self._last_write_backend: Optional[str] = None
-        self._httpd = ThreadingHTTPServer((host, port), _RouterHandler)
-        self._httpd.daemon_threads = True
+        super().__init__(ThreadingHTTPServer((host, port), _RouterHandler), "repro-router")
         self._httpd.router = self  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — useful with ``port=0`` (ephemeral)."""
-        return self._httpd.server_address[:2]
 
     def retry_after_value(self) -> str:
         return str(max(1, math.ceil(self.health_interval_seconds)))
@@ -422,41 +417,9 @@ class RouterHTTPServer:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def start(self) -> "RouterHTTPServer":
-        """Serve and health-check in background threads (idempotent)."""
-        self.check_all()  # synchronous first pass: routable the moment start() returns
-        if self._health_thread is None or not self._health_thread.is_alive():
-            self._health_stop.clear()
-            self._health_thread = threading.Thread(
-                target=self._health_loop, name="repro-router-health", daemon=True
-            )
-            self._health_thread.start()
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="repro-router", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._health_stop.set()
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if self._health_thread is not None:
-            self._health_thread.join()
-            self._health_thread = None
-        self.close()
-
-    def close(self) -> None:
-        """Release the listening socket (idempotent; safe after any exit path)."""
-        if not self._closed:
-            self._closed = True
-            self._httpd.server_close()
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI's ``route``)."""
+    def _on_start(self) -> None:
+        """Health-check synchronously (routable the moment serving starts),
+        then keep checking in a background thread."""
         self.check_all()
         if self._health_thread is None or not self._health_thread.is_alive():
             self._health_stop.clear()
@@ -464,31 +427,9 @@ class RouterHTTPServer:
                 target=self._health_loop, name="repro-router-health", daemon=True
             )
             self._health_thread.start()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self._health_stop.set()
-            self.close()
 
-    def __enter__(self) -> "RouterHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def route(
-    backends: List[str],
-    host: str = "127.0.0.1",
-    port: int = 8076,
-    health_interval_seconds: float = 0.5,
-    verbose: bool = False,
-) -> RouterHTTPServer:
-    """Convenience: build and start a :class:`RouterHTTPServer`."""
-    return RouterHTTPServer(
-        backends,
-        host=host,
-        port=port,
-        health_interval_seconds=health_interval_seconds,
-        verbose=verbose,
-    ).start()
+    def _on_close(self) -> None:
+        self._health_stop.set()
+        if self._health_thread is not None:
+            self._health_thread.join()
+            self._health_thread = None

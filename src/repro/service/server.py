@@ -18,12 +18,11 @@ all of them at once.  :class:`CompositionService` is that front-end:
   matches one that is queued *or currently executing* coalesces onto that
   computation and receives the same payload (sound because composition is
   deterministic in exactly those inputs);
-* **micro-batching** — the serving loop drains up to ``micro_batch_size``
-  requests (waiting ``micro_batch_wait_seconds`` for stragglers), groups them
-  by kind and configuration, and executes each group through one
-  :class:`~repro.engine.batch.BatchComposer` call (``run`` or
-  ``run_chains``), which composes the group's requests one after another —
-  so they share one expression cache per batch and one checkpoint store;
+* **caller-runs execution** — a blocking ``compose`` / ``compose_chain``
+  composes on the calling thread (an HTTP connection thread, say) through
+  :class:`~repro.engine.batch.BatchComposer`, under one service-wide lock
+  that keeps one composition running at a time; async ``submit_*`` requests
+  queue for a drain thread that executes them the same way;
 * **per-request configuration** — a submission may carry its own
   ``ComposerConfig``; configs are part of the dedup key and the grouping, so
   requests only share work when their results would be identical;
@@ -99,6 +98,7 @@ _SPAN_HISTOGRAMS = {
 __all__ = ["ServiceConfig", "Ticket", "CompositionService"]
 
 
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunable parameters of a :class:`CompositionService`.
@@ -106,8 +106,10 @@ class ServiceConfig:
     Attributes
     ----------
     max_pending:
-        Admission bound: maximum number of *distinct* work items queued (not
-        yet executing).  Coalesced duplicates ride along for free.
+        Admission bound: maximum number of *distinct* work items admitted
+        but not yet executing — queued async submissions plus blocking
+        callers waiting for the execution lock.  Coalesced duplicates ride
+        along for free.
     admission:
         What happens to a submission past the bound: ``"reject"`` (the
         default) raises :class:`ServiceOverloadedError` immediately;
@@ -117,12 +119,6 @@ class ServiceConfig:
         space before :class:`~repro.exceptions.ServiceDeadlineError` is
         raised; ``None`` waits indefinitely.  Each ``submit_*`` call may
         override it per request.
-    micro_batch_size:
-        Maximum requests drained into one serving batch.
-    micro_batch_wait_seconds:
-        How long the serving loop waits for stragglers once it holds at least
-        one request; ``0`` serves immediately (lowest latency, least
-        batching).
     timeout_seconds:
         Soft per-request budget, forwarded to the underlying
         :class:`~repro.engine.batch.BatchConfig`.
@@ -130,7 +126,7 @@ class ServiceConfig:
         The default :class:`ComposerConfig` for requests that do not carry
         their own override.
     share_expression_cache / cache_max_entries:
-        Expression-cache settings of each micro-batch, as in
+        Expression-cache settings of each execution, as in
         :class:`~repro.engine.batch.BatchConfig`.
     gc_interval_seconds:
         With a catalog attached, run :meth:`~repro.catalog.MappingCatalog.gc`
@@ -184,8 +180,6 @@ class ServiceConfig:
     max_pending: int = 1024
     admission: str = "reject"
     deadline_seconds: Optional[float] = None
-    micro_batch_size: int = 16
-    micro_batch_wait_seconds: float = 0.002
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
     share_expression_cache: bool = True
@@ -217,10 +211,6 @@ class ServiceConfig:
             )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise EngineError("deadline_seconds must be positive")
-        if self.micro_batch_size < 1:
-            raise EngineError("micro_batch_size must be positive")
-        if self.micro_batch_wait_seconds < 0:
-            raise EngineError("micro_batch_wait_seconds must be non-negative")
         if self.gc_interval_seconds is not None and self.gc_interval_seconds <= 0:
             raise EngineError("gc_interval_seconds must be positive")
         if self.gc_checkpoint_max_files is not None and self.gc_checkpoint_max_files < 0:
@@ -256,7 +246,7 @@ class Ticket:
 
     ``coalesced`` is ``True`` when this submission deduplicated onto an
     already in-flight identical request.  :meth:`result` blocks until the
-    serving loop delivers, then returns the payload
+    request's execution delivers, then returns the payload
     (:class:`~repro.compose.result.CompositionResult` or
     :class:`~repro.engine.chain.ChainResult`) or raises
     :class:`~repro.exceptions.ServiceError`.
@@ -290,7 +280,7 @@ class Ticket:
 
 
 class _WorkItem:
-    """One distinct queued computation and every ticket coalesced onto it."""
+    """One distinct admitted computation and every ticket coalesced onto it."""
 
     __slots__ = ("key", "kind", "payload", "config", "tickets", "enqueued_at", "enqueued_wall", "trace")
 
@@ -302,7 +292,7 @@ class _WorkItem:
         self.tickets: List[Ticket] = []
         self.enqueued_at = time.perf_counter()
         # The submitting thread's span context (if the request rode in under
-        # a trace): the serving loop runs in another thread, so queue-wait
+        # a trace): an async item executes on the drain thread, so queue-wait
         # and execution spans are recorded retroactively against this parent.
         self.enqueued_wall = time.time()
         self.trace = obs.current()
@@ -336,9 +326,13 @@ class CompositionService:
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._space_available = threading.Condition(self._lock)
+        # Async submissions awaiting the drain thread.
         self._queue: Deque[_WorkItem] = deque()
+        # Admitted items not yet executing (queued or waiting for the lock).
+        self._pending = 0
         self._in_flight: Dict[bytes, _WorkItem] = {}
-        self._composers: Dict[bytes, BatchComposer] = {}
+        # Held for the whole of one execution: one composition at a time.
+        self._execution_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._gc_thread: Optional[threading.Thread] = None
         self._gc_stop = threading.Event()
@@ -391,14 +385,14 @@ class CompositionService:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> "CompositionService":
-        """Start the serving loop (idempotent); returns ``self``."""
+        """Start the drain thread of async submissions (idempotent); returns ``self``."""
         with self._lock:
             if self._thread is not None and self._thread.is_alive():
                 return self
             self._stopping = False
             self._started_monotonic = time.monotonic()
             self._thread = threading.Thread(
-                target=self._serve_loop, name="repro-composition-service", daemon=True
+                target=self._drain_loop, name="repro-composition-service", daemon=True
             )
             self._thread.start()
             if (
@@ -425,13 +419,13 @@ class CompositionService:
         return self
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the serving loop.
+        """Stop the service.
 
-        With ``drain`` (the default) everything already queued is served
-        first; otherwise queued requests fail with :class:`ServiceError`.
-        Submissions blocked in admission are woken and fail with
-        :class:`ServiceError` (the service is stopping, space will never
-        free for them).
+        With ``drain`` (the default) every async submission already queued
+        is served first; otherwise queued requests fail with
+        :class:`ServiceError`.  Submissions blocked in admission are woken
+        and fail with :class:`ServiceError` (the service is stopping, space
+        will never free for them).
         """
         obs.recorder().remove_listener(self._span_listener)
         self._gc_stop.set()
@@ -439,10 +433,7 @@ class CompositionService:
         with self._lock:
             if not drain:
                 while self._queue:
-                    item = self._queue.popleft()
-                    self._in_flight.pop(item.key, None)
-                    for ticket in item.tickets:
-                        ticket._fail(ServiceError("service stopped before serving"))
+                    self._drop(self._queue.popleft())
             self._stopping = True
             self._work_available.notify_all()
             self._space_available.notify_all()
@@ -489,11 +480,9 @@ class CompositionService:
         for this request (meaningful with ``admission="block"``).
 
         Submissions are accepted before :meth:`start` (they queue and are
-        served once the loop runs) but refused after :meth:`stop`.
+        served once the drain thread runs) but refused after :meth:`stop`.
         """
-        effective = config or self.config.composer_config
-        key = self._request_key("problem", problem.fingerprint(), effective)
-        return self._enqueue(key, "problem", problem, effective, deadline_seconds)
+        return self._submit("problem", problem, config, deadline_seconds, caller_runs=False)
 
     def submit_chain(
         self,
@@ -502,12 +491,7 @@ class CompositionService:
         deadline_seconds: Optional[float] = None,
     ) -> Ticket:
         """Queue one chained composition; returns with a ticket once admitted."""
-        chain = tuple(mappings)
-        if not chain:
-            raise ServiceError("cannot submit an empty chain")
-        effective = config or self.config.composer_config
-        key = self._request_key("chain", chain_fingerprint(chain), effective)
-        return self._enqueue(key, "chain", chain, effective, deadline_seconds)
+        return self._submit("chain", tuple(mappings), config, deadline_seconds, caller_runs=False)
 
     def compose(
         self,
@@ -515,8 +499,13 @@ class CompositionService:
         config: Optional[ComposerConfig] = None,
         timeout: Optional[float] = None,
     ):
-        """Submit one problem and block for its result."""
-        return self.submit_problem(problem, config).result(timeout)
+        """Compose one problem on the calling thread (or share the result of an
+        identical in-flight request).  A caller whose ``timeout`` passes while
+        it waits for the execution lock leaves its request to the drain thread.
+        """
+        return self._submit(
+            "problem", problem, config, None, caller_runs=True, timeout=timeout
+        ).result(timeout)
 
     def compose_chain(
         self,
@@ -524,8 +513,10 @@ class CompositionService:
         config: Optional[ComposerConfig] = None,
         timeout: Optional[float] = None,
     ):
-        """Submit one chain and block for its result."""
-        return self.submit_chain(mappings, config).result(timeout)
+        """Compose one chain on the calling thread (see :meth:`compose`)."""
+        return self._submit(
+            "chain", tuple(mappings), config, None, caller_runs=True, timeout=timeout
+        ).result(timeout)
 
     def compose_catalog(
         self,
@@ -544,21 +535,52 @@ class CompositionService:
             return self.compose_chain(self.catalog.get_chain(name, version), config, timeout=timeout)
         raise ServiceError(f"cannot compose catalog kind {kind!r} (expected problem or chain)")
 
-    def _request_key(self, kind: str, content: bytes, config: ComposerConfig) -> bytes:
+    def _submit(
+        self,
+        kind: str,
+        payload,
+        config: Optional[ComposerConfig],
+        deadline_seconds: Optional[float],
+        caller_runs: bool,
+        timeout: Optional[float] = None,
+    ) -> Ticket:
+        """Admit one request; queue it, or (``caller_runs``) execute it here."""
+        if kind == "chain":
+            if not payload:
+                raise ServiceError("cannot submit an empty chain")
+            content = chain_fingerprint(payload)
+        else:
+            content = payload.fingerprint()
+        effective = config or self.config.composer_config
         h = blake2b(digest_size=DIGEST_SIZE)
         h.update(kind.encode())
         h.update(content)
-        h.update(config.fingerprint())
-        return h.digest()
+        h.update(effective.fingerprint())
+        ticket, item = self._admit(
+            h.digest(), kind, payload, effective, deadline_seconds, queued=not caller_runs
+        )
+        if item is not None and caller_runs and not self._execute(item, timeout):
+            with self._lock:
+                if self._stopping:
+                    self._drop(item)
+                else:
+                    self._queue.append(item)
+                    self._work_available.notify()
+            raise ServiceError(f"no result within {timeout} seconds")
+        return ticket
 
-    def _enqueue(
+    def _admit(
         self,
         key: bytes,
         kind: str,
         payload: object,
         config: ComposerConfig,
-        deadline_seconds: Optional[float] = None,
-    ) -> Ticket:
+        deadline_seconds: Optional[float],
+        queued: bool,
+    ) -> Tuple[Ticket, Optional[_WorkItem]]:
+        """Admission and single-flight dedup: the caller's ticket, plus the new
+        item it owns unless it coalesced (a ``queued`` item goes to the drain
+        thread, otherwise the caller executes it)."""
         budget = (
             deadline_seconds
             if deadline_seconds is not None
@@ -591,8 +613,8 @@ class CompositionService:
                     ticket = Ticket(coalesced=True)
                     existing.tickets.append(ticket)
                     self.metrics_store.record_submitted(coalesced=True)
-                    return ticket
-                if len(self._queue) < self.config.max_pending:
+                    return ticket, None
+                if self._pending < self.config.max_pending:
                     break
                 if self.config.admission == "reject":
                     self.metrics_store.record_rejected()
@@ -613,105 +635,81 @@ class CompositionService:
             ticket = Ticket()
             item.tickets.append(ticket)
             self._in_flight[key] = item
-            self._queue.append(item)
+            self._pending += 1
             self.metrics_store.record_submitted()
-            self._work_available.notify()
-            return ticket
+            if queued:
+                self._queue.append(item)
+                self._work_available.notify()
+            return ticket, item
 
-    # -- serving loop --------------------------------------------------------------
+    # -- execution -----------------------------------------------------------------
 
-    def _serve_loop(self) -> None:
+    def _drain_loop(self) -> None:
+        """Execute queued async submissions one at a time until stopped and drained."""
         while True:
-            batch = self._next_batch()
-            if not batch:
-                return
-            for (kind, _), group in _grouped(batch).items():
-                self._execute_group(kind, group)
-
-    def _next_batch(self) -> List[_WorkItem]:
-        """Block for work, then drain up to one micro-batch of items."""
-        with self._lock:
-            while not self._queue and not self._stopping:
-                self._work_available.wait()
-            if not self._queue:
-                return []  # stopping and drained
-            batch = [self._queue.popleft()]
-            self._space_available.notify()
-        # Hold the door briefly for stragglers so bursts batch together.
-        deadline = time.perf_counter() + self.config.micro_batch_wait_seconds
-        while len(batch) < self.config.micro_batch_size:
             with self._lock:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    self._space_available.notify()
-                    continue
-                if self._stopping:
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._work_available.wait(remaining)
-        return batch
+                while not self._queue and not self._stopping:
+                    self._work_available.wait()
+                if not self._queue:
+                    return  # stopping and drained
+                item = self._queue.popleft()
+            self._execute(item)
 
-    def _composer_for(self, config: ComposerConfig) -> BatchComposer:
-        """One cached :class:`BatchComposer` per composer-config fingerprint.
+    def _execute(self, item: _WorkItem, timeout: Optional[float] = None) -> bool:
+        """Execute one work item under the execution lock and deliver its tickets.
 
-        Caching keeps the composer's state — above all the shared checkpoint
-        store — warm across micro-batches.
+        The only function that executes work items; ``False`` means the lock
+        was not acquired within ``timeout`` and nothing ran.
         """
-        fingerprint = config.fingerprint()
-        composer = self._composers.get(fingerprint)
-        if composer is None:
-            composer = BatchComposer(
-                BatchConfig(
-                    timeout_seconds=self.config.timeout_seconds,
-                    composer_config=config,
-                    share_expression_cache=self.config.share_expression_cache,
-                    cache_max_entries=self.config.cache_max_entries,
-                ),
-                checkpoints=self.checkpoints,
-            )
-            self._composers[fingerprint] = composer
-        return composer
-
-    def _execute_group(self, kind: str, group: List[_WorkItem]) -> None:
-        claimed = self._claim_leases(group)
+        lease = self._claim_lease(item)
         try:
-            self._execute_group_claimed(kind, group)
+            if not self._execution_lock.acquire(timeout=-1 if timeout is None else timeout):
+                return False
+            try:
+                started = time.perf_counter()
+                with self._lock:
+                    self._pending -= 1
+                    self._space_available.notify()
+                failure: Optional[Exception] = None
+                try:
+                    composer = BatchComposer(
+                        BatchConfig(
+                            timeout_seconds=self.config.timeout_seconds,
+                            composer_config=item.config,
+                            share_expression_cache=self.config.share_expression_cache,
+                            cache_max_entries=self.config.cache_max_entries,
+                        ),
+                        checkpoints=self.checkpoints,
+                    )
+                    run = composer.run_chains if item.kind == "chain" else composer.run
+                    report = run([item.payload])
+                except Exception as exc:  # noqa: BLE001 - fails its tickets, not the service
+                    failure = exc
+                execution_seconds = time.perf_counter() - started
+            finally:
+                self._execution_lock.release()
         finally:
-            self._release_leases(claimed)
-
-    def _execute_group_claimed(self, kind: str, group: List[_WorkItem]) -> None:
-        composer = self._composer_for(group[0].config)
-        started = time.perf_counter()
-        try:
-            if kind == "chain":
-                report = composer.run_chains([item.payload for item in group])
-            else:
-                report = composer.run([item.payload for item in group])
-        except Exception as exc:  # noqa: BLE001 - a broken batch must not kill the loop
-            elapsed = time.perf_counter() - started
-            # The blanket catch used to erase *what* failed; record the
-            # exception type so /metrics distinguishes a sick disk from a
-            # code bug, and surface it in the error each ticket receives.
-            self.metrics_store.record_batch_failure(type(exc).__name__, len(group))
+            self._release_lease(lease)
+        queue_seconds = started - item.enqueued_at
+        if failure is not None:
+            # Record the exception type so /metrics distinguishes a sick
+            # disk from a code bug, and surface it in every ticket's error.
+            self.metrics_store.record_batch_failure(type(failure).__name__, 1)
             error = ServiceError(
-                f"batch execution failed with {type(exc).__name__}: {exc!r}"
+                f"execution failed with {type(failure).__name__}: {failure!r}"
             )
-            for item in group:
-                self._finish(item, None, error, elapsed / max(len(group), 1))
-            return
-        self.metrics_store.record_batch(size=len(group), cache_stats=report.cache_stats)
-        for item, outcome in zip(group, report.items):
-            if outcome.status is ProblemStatus.SUCCEEDED:
-                self._finish(item, outcome, None, outcome.elapsed_seconds)
-            else:
-                self._finish(item, outcome, _item_error(outcome), outcome.elapsed_seconds)
+            self._finish(item, None, error, queue_seconds, execution_seconds)
+            return True
+        self.metrics_store.record_batch(size=1, cache_stats=report.cache_stats)
+        outcome = report.items[0]
+        error = None if outcome.status is ProblemStatus.SUCCEEDED else _item_error(outcome)
+        self._finish(item, outcome, error, queue_seconds, outcome.elapsed_seconds)
+        return True
 
     # -- cross-process claims --------------------------------------------------------
 
-    def _claim_leases(self, group: List[_WorkItem]) -> List[Lease]:
-        """Claim every item's request key before executing the group.
+    def _claim_lease(self, item: _WorkItem) -> Optional[Lease]:
+        """Claim the item's request key before executing it.
 
         While a claim is live, a peer service process serving the identical
         request waits instead of recomputing — cross-process deduplication
@@ -723,35 +721,39 @@ class CompositionService:
         into an availability bug.
         """
         if self.leases is None:
-            return []
+            return None
         wait = (
             self.config.lease_wait_seconds
             if self.config.lease_wait_seconds is not None
             else 4.0 * (self.config.lease_ttl_seconds or 0.0)
         )
-        claimed: List[Lease] = []
-        for item in group:
-            key = item.key.hex()
-            try:
-                claimed.append(self.leases.wait_acquire(key, timeout=wait))
-            except (LeaseUnavailableError, CatalogError, OSError):
-                self.metrics_store.record_lease_claim_failure()
-        return claimed
+        try:
+            return self.leases.wait_acquire(item.key.hex(), timeout=wait)
+        except (LeaseUnavailableError, CatalogError, OSError):
+            self.metrics_store.record_lease_claim_failure()
+            return None
 
-    def _release_leases(self, claimed: List[Lease]) -> None:
-        if self.leases is None:
+    def _release_lease(self, lease: Optional[Lease]) -> None:
+        if self.leases is None or lease is None:
             return
-        for lease in claimed:
-            try:
-                self.leases.release(lease.key)
-            except (CatalogError, OSError):  # pragma: no cover - best-effort
-                pass
+        try:
+            self.leases.release(lease.key)
+        except (CatalogError, OSError):  # pragma: no cover - best-effort
+            pass
+
+    def _drop(self, item: _WorkItem) -> None:
+        """Fail an admitted item that will never execute (caller holds ``_lock``)."""
+        self._pending -= 1
+        self._in_flight.pop(item.key, None)
+        for ticket in item.tickets:
+            ticket._fail(ServiceError("service stopped before serving"))
 
     def _finish(
         self,
         item: _WorkItem,
         outcome: Optional[BatchItemResult],
         error: Optional[ServiceError],
+        queue_seconds: float,
         execution_seconds: float,
     ) -> None:
         # Pop from the in-flight table *before* delivering: once tickets are
@@ -771,7 +773,6 @@ class CompositionService:
                 ticket._deliver(payload)
             else:
                 ticket._fail(error)
-        queue_seconds = max(0.0, time.perf_counter() - item.enqueued_at - execution_seconds)
         self.metrics_store.record_completed(
             status=status,
             queue_seconds=queue_seconds,
@@ -779,10 +780,10 @@ class CompositionService:
             phase_seconds=_phase_seconds(payload),
         )
         if item.trace is not None:
-            # The serving loop is not the submitting thread, so these spans
-            # are recorded retroactively against the submitter's context:
-            # queue wait, then execution, with the composition's per-phase
-            # buckets bridged as children of the execution span.
+            # Recorded retroactively against the submitter's context (an
+            # async item executes on the drain thread): queue wait, then
+            # execution, with the composition's per-phase buckets bridged as
+            # children of the execution span.
             obs.record_span(
                 "service.queue",
                 parent=item.trace,
@@ -1054,7 +1055,8 @@ class CompositionService:
 
         Degraded means the service still answers compositions but some
         durability promise is suspended: the storage breaker is open (disk
-        writes are being dropped), the serving loop is not running, or the
+        writes are being dropped), the service is not running (async
+        submissions are not being drained), or the
         configured GC sweep has not completed within two intervals.
         """
         breaker = self.breaker.snapshot()
@@ -1065,7 +1067,7 @@ class CompositionService:
                 f"(last failure: {breaker['last_failure']})"
             )
         if not self.is_running:
-            reasons.append("serving loop is not running")
+            reasons.append("service is not running")
         last_gc_age: Optional[float] = None
         if self._last_gc_monotonic is not None:
             last_gc_age = time.monotonic() - self._last_gc_monotonic
@@ -1115,41 +1117,32 @@ class CompositionService:
 
     def metrics(self) -> dict:
         """A JSON-serializable snapshot of everything the service measures."""
-        with self._lock:
-            pending = len(self._queue)
-            in_flight = len(self._in_flight)
-        return self.metrics_store.snapshot(
-            pending=pending,
-            in_flight=in_flight,
-            checkpoint_stats=self.checkpoints.stats(),
-            breaker=self.breaker.snapshot(),
-            leases=self.leases.stats() if self.leases is not None else None,
-        )
+        return self.metrics_store.snapshot(**self._snapshot_inputs())
 
     def metrics_prometheus(self) -> str:
         """The metrics snapshot in the Prometheus text exposition format."""
+        return self.metrics_store.render_prometheus(**self._snapshot_inputs())
+
+    def _snapshot_inputs(self) -> dict:
         with self._lock:
-            pending = len(self._queue)
+            pending = self._pending
             in_flight = len(self._in_flight)
-        return self.metrics_store.render_prometheus(
-            pending=pending,
-            in_flight=in_flight,
-            checkpoint_stats=self.checkpoints.stats(),
-            breaker=self.breaker.snapshot(),
-            leases=self.leases.stats() if self.leases is not None else None,
-        )
+        checkpoint_stats = self.checkpoints.stats()
+        if isinstance(self.checkpoints, PersistentCheckpointStore):
+            # Counting files scans the directory: done per /metrics read,
+            # never per execution.
+            checkpoint_stats["disk_entries"] = self.checkpoints.disk_entries()
+        return {
+            "pending": pending,
+            "in_flight": in_flight,
+            "checkpoint_stats": checkpoint_stats,
+            "breaker": self.breaker.snapshot(),
+            "leases": self.leases.stats() if self.leases is not None else None,
+        }
 
     def __repr__(self) -> str:
         state = "running" if self.is_running else "stopped"
-        return f"<CompositionService ({state}): {len(self._queue)} queued>"
-
-
-def _grouped(batch: Sequence[_WorkItem]) -> Dict[Tuple[str, bytes], List[_WorkItem]]:
-    """Group a micro-batch by (kind, composer-config fingerprint), in order."""
-    groups: Dict[Tuple[str, bytes], List[_WorkItem]] = {}
-    for item in batch:
-        groups.setdefault((item.kind, item.config.fingerprint()), []).append(item)
-    return groups
+        return f"<CompositionService ({state}): {self._pending} pending>"
 
 
 def _item_error(outcome: BatchItemResult) -> ServiceError:

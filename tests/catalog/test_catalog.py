@@ -264,6 +264,30 @@ class TestCatalogGC:
 
 
 class TestPersistentCheckpoints:
+    def test_run_chains_does_not_scan_the_directory(self, tmp_path, chain, monkeypatch):
+        import os
+        from pathlib import Path
+
+        from repro.engine.batch import BatchComposer
+
+        store = PersistentCheckpointStore(tmp_path / "ckpt")
+        scans = []
+        for owner, name in ((Path, "glob"), (Path, "iterdir"), (os, "scandir"), (os, "listdir")):
+            real = getattr(owner, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                scans.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        report = BatchComposer(checkpoints=store).run_chains([chain, chain[:-1]])
+        assert report.all_succeeded
+        assert store.disk_writes == len(chain) - 1
+        assert scans == []
+        assert "disk_entries" not in report.checkpoint_stats
+        monkeypatch.undo()
+        assert store.disk_entries() == len(chain) - 1  # the count is on demand
+
     def test_writes_through_and_reads_back(self, tmp_path, chain):
         store = PersistentCheckpointStore(tmp_path / "ckpt")
         result = compose_chain(chain, checkpoints=store)

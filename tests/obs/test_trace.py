@@ -203,3 +203,32 @@ class TestMergeAndVerify:
         assert "(incomplete)" in text
         assert "? orphan stray" in text
         assert text.splitlines()[0].startswith("trace t")
+
+
+class TestIds:
+    def test_widths_are_hex_of_16_and_8_bytes(self):
+        trace_id, span_id = obs.new_trace_id(), obs.new_span_id()
+        assert len(trace_id) == 32 and len(span_id) == 16
+        int(trace_id, 16), int(span_id, 16)
+
+    def test_ids_are_unique(self):
+        draws = 10_000
+        assert len({obs.new_trace_id() for _ in range(draws)}) == draws
+        assert len({obs.new_span_id() for _ in range(draws)}) == draws
+
+    def test_forked_child_draws_different_ids(self):
+        import os
+
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            os.close(read_end)
+            os.write(write_end, (obs.new_trace_id() + obs.new_span_id()).encode())
+            os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            child = pipe.read().decode()
+        os.waitpid(pid, 0)
+        parent = obs.new_trace_id() + obs.new_span_id()
+        assert len(child) == len(parent) == 48
+        assert child[:32] != parent[:32] and child[32:] != parent[32:]

@@ -167,7 +167,7 @@ class TestUnattendedFailoverInProcess:
     def test_follower_self_promotes_when_the_primary_dies(self, tmp_path):
         primary_catalog = MappingCatalog(tmp_path / "primary")
         primary_service = CompositionService(
-            primary_catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
+            primary_catalog, ServiceConfig()
         )
         primary_service.start()
         primary_server = ServiceHTTPServer(primary_service, port=0)
@@ -194,7 +194,7 @@ class TestUnattendedFailoverInProcess:
             health_timeout_seconds=0.5,
         ).start()
         replica_service = CompositionService(
-            replica_catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
+            replica_catalog, ServiceConfig()
         )
         replica_service.start()
         replica_server = ServiceHTTPServer(

@@ -7,6 +7,7 @@ over HTTP, and the answer must be byte-identical to a direct ``compose()``.
 import contextlib
 import http.client
 import json
+import re
 import socket
 import time
 import urllib.error
@@ -18,6 +19,7 @@ from repro import obs
 from repro.catalog import MappingCatalog
 from repro.compose.composer import compose
 from repro.engine import ChainGrower, compose_chain
+from repro.engine.workloads import WorkloadConfig, generate_workload, pairwise_problems
 from repro.literature.problems import problem_by_name
 from repro.service import (
     CompositionService,
@@ -30,6 +32,7 @@ from repro.textio.records import (
     chain_to_text,
     mapping_from_text,
     result_from_text,
+    result_to_text,
     signature_to_text,
 )
 
@@ -37,7 +40,7 @@ from repro.textio.records import (
 @pytest.fixture()
 def stack(tmp_path):
     catalog = MappingCatalog(tmp_path / "cat")
-    service = CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0))
+    service = CompositionService(catalog, ServiceConfig())
     service.start()
     server = ServiceHTTPServer(service, port=0)  # ephemeral port
     server.start()
@@ -253,6 +256,93 @@ class TestSlowClients:
         assert b"shorter than its Content-Length" in received
 
 
+class _CountingConnection(http.client.HTTPConnection):
+    """An ``HTTPConnection`` that counts its TCP connects."""
+
+    connects = 0
+
+    def connect(self):
+        self.connects += 1
+        super().connect()
+
+
+def _connection(base: str) -> _CountingConnection:
+    host, port = base.removeprefix("http://").split(":")
+    return _CountingConnection(host, int(port), timeout=30)
+
+
+def _timing_free(record: str) -> str:
+    return re.sub(r"\d+\.\d+(e-?\d+)?", "<seconds>", record)
+
+
+def _exchange(connection, method: str, path: str, body: bytes = None):
+    connection.request(method, path, body=body)
+    response = connection.getresponse()
+    return response.status, response.read(), response.getheader("Connection")
+
+
+class TestKeepAlive:
+    def test_one_connection_serves_many_composes(self, stack):
+        _, _, base = stack
+        workload = WorkloadConfig(
+            num_problems=1, min_chain_length=21, max_chain_length=21, seed=3
+        )
+        problems = pairwise_problems(generate_workload(workload)[0])
+        connection = _connection(base)
+        try:
+            answers = [
+                _exchange(connection, "POST", "/compose", problem_to_text(problem).encode())
+                for problem in problems
+            ]
+        finally:
+            connection.close()
+        assert len(answers) == 20
+        assert connection.connects == 1
+        for problem, (status, body, close) in zip(problems, answers):
+            assert (status, close) == (200, None)
+            # Byte-identical to a direct compose() up to the wall-clock fields.
+            assert _timing_free(body.decode()) == _timing_free(result_to_text(compose(problem)))
+
+    def test_unread_body_closes_the_connection(self, stack):
+        _, _, base = stack
+        problem = problem_to_text(problem_by_name("example1_movies").problem).encode()
+        connection = _connection(base)
+        try:
+            # The 404 leaves the body unread: its bytes must not be parsed
+            # as the next request on a kept-alive socket.
+            status, _, close = _exchange(connection, "POST", "/nope", problem)
+            assert (status, close) == (404, "close")
+            status, text, _ = _exchange(connection, "POST", "/compose", problem)
+        finally:
+            connection.close()
+        assert status == 200
+        assert result_from_text(text.decode()).constraints.to_text() == compose(
+            problem_by_name("example1_movies").problem
+        ).constraints.to_text()
+
+    def test_idle_connection_is_dropped_after_the_read_timeout(self, stack, monkeypatch):
+        from repro.service import http as service_http
+        from repro.service.httpio import READ_TIMEOUT_SECONDS
+
+        assert service_http._Handler.timeout == READ_TIMEOUT_SECONDS
+        bound = 0.5  # same mechanism, shorter bound
+        monkeypatch.setattr(service_http._Handler, "timeout", bound)
+        _, _, base = stack
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as client:
+            client.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            started = time.monotonic()
+            reader = client.makefile("rb")
+            assert reader.readline().split()[1] == b"200"
+            # Kept alive, then idle: other clients are still served ...
+            assert _get(base + "/healthz")[0] == 200
+            # ... and the server closes the idle socket (EOF after the answer).
+            remainder = reader.read()
+            elapsed = time.monotonic() - started
+        assert remainder.endswith(b"}\n")
+        assert bound <= elapsed < bound + 5.0
+
+
 class TestTraceEcho:
     def test_router_503_carries_the_router_trace_id(self):
         # Reserve a port and close it again: nothing listens there, so the
@@ -329,7 +419,7 @@ class TestRetryAfter:
         catalog = MappingCatalog(tmp_path / "cat")
         service = CompositionService(
             catalog,
-            ServiceConfig(micro_batch_wait_seconds=0.0, max_pending=1),
+            ServiceConfig(max_pending=1),
         )
         # Deliberately NOT started: the queue never drains, so the second
         # submission over HTTP is rejected at admission.
@@ -359,7 +449,6 @@ class TestReplicaAcks:
         service = CompositionService(
             catalog,
             ServiceConfig(
-                micro_batch_wait_seconds=0.0,
                 ack_level="replica",
                 replica_ack_timeout_seconds=0.2,
             ),
@@ -466,7 +555,7 @@ class TestThreadFailureCounters:
         catalog = MappingCatalog(tmp_path / "cat")
         service = CompositionService(
             catalog,
-            ServiceConfig(micro_batch_wait_seconds=0.0, gc_interval_seconds=0.01),
+            ServiceConfig(gc_interval_seconds=0.01),
         )
 
         def broken_gc(**kwargs):

@@ -1,6 +1,9 @@
 """Tests for the health-routing front tier (``repro route``)."""
 
+import http.client
 import json
+import re
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -8,7 +11,9 @@ import urllib.request
 import pytest
 
 from repro.catalog import MappingCatalog
+from repro.compose.composer import compose
 from repro.engine import ChainGrower
+from repro.engine.workloads import WorkloadConfig, generate_workload, pairwise_problems
 from repro.exceptions import ServiceError
 from repro.literature.problems import problem_by_name
 from repro.service import (
@@ -21,6 +26,7 @@ from repro.service import (
 )
 from repro.service.router import BackendState
 from repro.textio.format import problem_to_text
+from repro.textio.records import result_to_text
 
 
 def _wait_for(predicate, timeout=10.0, interval=0.02):
@@ -38,9 +44,7 @@ class _Stack:
     def __init__(self, root, follower=None):
         self.catalog = MappingCatalog(root)
         self.follower = follower
-        self.service = CompositionService(
-            self.catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
-        )
+        self.service = CompositionService(self.catalog, ServiceConfig())
         self.service.start()
         self.server = ServiceHTTPServer(self.service, port=0, follower=follower)
         self.server.start()
@@ -70,9 +74,7 @@ def follower_stack(primary, tmp_path):
     stack = _Stack.__new__(_Stack)
     stack.catalog = catalog
     stack.follower = follower
-    stack.service = CompositionService(
-        catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
-    )
+    stack.service = CompositionService(catalog, ServiceConfig())
     stack.service.start()
     stack.server = ServiceHTTPServer(stack.service, port=0, follower=follower)
     stack.server.start()
@@ -420,3 +422,82 @@ class TestTracing:
             assert _wait_for(lambda: router.poll_failures >= 1)
             _, body, _ = _get(f"http://{host}:{port}/router/status")
             assert json.loads(body)["poll_failures"] >= 1
+
+
+class _CountingConnection(http.client.HTTPConnection):
+    """An ``HTTPConnection`` that counts its TCP connects."""
+
+    connects = 0
+
+    def connect(self):
+        self.connects += 1
+        super().connect()
+
+
+def _timing_free(record: str) -> str:
+    return re.sub(r"\d+\.\d+(e-?\d+)?", "<seconds>", record)
+
+
+class TestKeepAlive:
+    def test_one_router_connection_serves_many_composes(self, primary):
+        problems = pairwise_problems(
+            generate_workload(
+                WorkloadConfig(num_problems=1, min_chain_length=21, max_chain_length=21, seed=4)
+            )[0]
+        )
+        with RouterHTTPServer([primary.base], port=0) as router:
+            connection = _CountingConnection(*router.address, timeout=30)
+            try:
+                for problem in problems:
+                    connection.request("POST", "/compose", body=problem_to_text(problem))
+                    response = connection.getresponse()
+                    body = response.read().decode()
+                    assert response.status == 200
+                    assert response.getheader("Connection") is None
+                    assert _timing_free(body) == _timing_free(result_to_text(compose(problem)))
+            finally:
+                connection.close()
+        assert len(problems) == 20
+        assert connection.connects == 1
+
+    def test_body_to_an_unknown_path_does_not_desync_the_connection(self, primary):
+        problem = problem_by_name("example1_movies").problem
+        with RouterHTTPServer([primary.base], port=0) as router:
+            connection = http.client.HTTPConnection(*router.address, timeout=30)
+            try:
+                connection.request("POST", "/nope", body=problem_to_text(problem))
+                first = connection.getresponse()
+                first.read()
+                assert first.status == 404
+                connection.request("POST", "/compose", body=problem_to_text(problem))
+                second = connection.getresponse()
+                text = second.read().decode()
+            finally:
+                connection.close()
+        # Either the router consumed the body and kept the connection, or
+        # it told the client to reconnect.
+        assert first.getheader("Connection") in (None, "close")
+        assert second.status == 200
+        assert _timing_free(text) == _timing_free(result_to_text(compose(problem)))
+
+    def test_idle_router_connection_is_dropped_after_the_read_timeout(
+        self, primary, monkeypatch
+    ):
+        from repro.service.httpio import READ_TIMEOUT_SECONDS
+        from repro.service.router import _RouterHandler
+
+        assert _RouterHandler.timeout == READ_TIMEOUT_SECONDS
+        bound = 0.5  # same mechanism, shorter bound
+        monkeypatch.setattr(_RouterHandler, "timeout", bound)
+        with RouterHTTPServer([primary.base], port=0) as router:
+            host, port = router.address
+            with socket.create_connection((host, port), timeout=30) as client:
+                client.sendall(b"GET /router/status HTTP/1.1\r\nHost: test\r\n\r\n")
+                started = time.monotonic()
+                reader = client.makefile("rb")
+                assert reader.readline().split()[1] == b"200"
+                assert _get(f"http://{host}:{port}/healthz")[0] == 200
+                remainder = reader.read()  # EOF once the idle socket is dropped
+                elapsed = time.monotonic() - started
+        assert remainder.endswith(b"}\n")
+        assert bound <= elapsed < bound + 5.0

@@ -1,12 +1,13 @@
 """Tests for the concurrent composition service.
 
 The load-bearing guarantee: the service adds scheduling — queueing,
-deduplication, micro-batching, concurrency — but never semantics.  Every
+deduplication, caller-runs execution, concurrency — but never semantics.  Every
 payload must be byte-identical to calling ``compose`` / ``compose_chain``
 directly, including under concurrent overlapping submissions (the
 acceptance-criterion proof lives in :class:`TestConcurrentClients`).
 """
 
+import sys
 import threading
 import time
 
@@ -94,7 +95,7 @@ class TestBasics:
             service.submit_chain(())
 
     def test_stop_drains_queue(self, chains):
-        svc = CompositionService(config=ServiceConfig(micro_batch_wait_seconds=0.0))
+        svc = CompositionService(config=ServiceConfig())
         svc.start()
         tickets = [svc.submit_chain(chain) for chain in chains]
         svc.stop()  # drain=True: everything already queued is served
@@ -107,11 +108,12 @@ class TestBasics:
 
 class TestDeduplication:
     def test_identical_requests_coalesce(self, chains):
-        config = ServiceConfig(micro_batch_wait_seconds=0.05, micro_batch_size=64)
-        with CompositionService(config=config) as svc:
-            tickets = [svc.submit_chain(chains[0]) for _ in range(20)]
+        # Submitted before start(): every duplicate finds the first queued.
+        svc = CompositionService()
+        tickets = [svc.submit_chain(chains[0]) for _ in range(20)]
+        with svc:
             results = [ticket.result(60) for ticket in tickets]
-        assert any(ticket.coalesced for ticket in tickets)
+        assert all(ticket.coalesced for ticket in tickets[1:])
         reference = _constraints_text(compose_chain(chains[0]))
         assert all(_constraints_text(result) == reference for result in results)
         metrics = svc.metrics()
@@ -256,7 +258,7 @@ class TestBlockingAdmission:
     def test_blocking_identical_results_under_burst(self, chains):
         # A tiny queue with blocking admission: every client eventually gets
         # a byte-identical result — blocking changes timing, never payloads.
-        config = ServiceConfig(max_pending=1, admission="block", micro_batch_size=2)
+        config = ServiceConfig(max_pending=1, admission="block")
         expected = {
             index: _constraints_text(compose_chain(chain))
             for index, chain in enumerate(chains)
@@ -341,8 +343,7 @@ class TestConcurrentClients:
         num_clients = 8
         outcomes = [[] for _ in range(num_clients)]
         errors = []
-        config = ServiceConfig(micro_batch_wait_seconds=0.01, micro_batch_size=32)
-        with CompositionService(config=config) as svc:
+        with CompositionService() as svc:
             barrier = threading.Barrier(num_clients)
 
             def client(client_index: int) -> None:
@@ -419,3 +420,140 @@ class TestMetrics:
         assert metrics["phases"]  # per-phase buckets aggregated from the hops
         assert metrics["latency"]["execution_seconds_total"] > 0
         assert metrics["checkpoints"]["entries"] >= 1
+
+
+class TestCallerRuns:
+    """Blocking calls compose on the caller's thread, one at a time."""
+
+    @pytest.fixture()
+    def problems(self):
+        chain = generate_workload(
+            WorkloadConfig(num_problems=1, min_chain_length=7, max_chain_length=7, seed=23)
+        )[0]
+        return pairwise_problems(chain)
+
+    @staticmethod
+    def _instrument(monkeypatch, before=None):
+        """Wrap the engine's compose(); returns the list of executing threads."""
+        import repro.engine.batch as batch
+
+        threads = []
+        real = batch.compose
+
+        def instrumented(problem, config=None):
+            threads.append(threading.get_ident())
+            if before is not None:
+                before()
+            return real(problem, config)
+
+        monkeypatch.setattr(batch, "compose", instrumented)
+        return threads
+
+    def test_blocking_compose_runs_on_the_callers_thread(self, service, problems, monkeypatch):
+        threads = self._instrument(monkeypatch)
+        service.compose(problems[0])
+        worker = threading.Thread(target=service.compose, args=(problems[1],))
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive()
+        assert threads == [threading.get_ident(), worker.ident]
+
+    def test_concurrent_identical_composes_execute_once(self, service, problems, monkeypatch):
+        num_callers = 6
+        release = threading.Event()
+        # The owner holds its execution open until every other caller has
+        # coalesced onto it, so the dedup count is deterministic.
+        threads = self._instrument(monkeypatch, before=lambda: release.wait(60))
+        results = []
+
+        def caller():
+            results.append(_constraints_text(service.compose(problems[0], timeout=60)))
+
+        callers = [threading.Thread(target=caller) for _ in range(num_callers)]
+        for thread in callers:
+            thread.start()
+        deadline = time.monotonic() + 30
+        while service.metrics()["requests"]["deduplicated"] < num_callers - 1:
+            assert time.monotonic() < deadline, "callers never coalesced"
+            time.sleep(0.005)
+        release.set()
+        for thread in callers:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in callers)
+        assert len(threads) == 1
+        assert results == [_constraints_text(compose(problems[0]))] * num_callers
+        metrics = service.metrics()
+        assert metrics["requests"]["deduplicated"] == num_callers - 1
+        assert metrics["batching"]["batches"] == 1
+
+    def test_different_requests_never_execute_at_the_same_time(
+        self, service, problems, monkeypatch
+    ):
+        lock = threading.Lock()
+        state = {"active": 0, "peak": 0}
+
+        def overlapping():
+            with lock:
+                state["active"] += 1
+                state["peak"] = max(state["peak"], state["active"])
+            time.sleep(0.02)  # a window for a second execution to overlap
+            with lock:
+                state["active"] -= 1
+
+        threads = self._instrument(monkeypatch, before=overlapping)
+        barrier = threading.Barrier(len(problems))
+        results = {}
+
+        def caller(index):
+            barrier.wait(30)
+            results[index] = _constraints_text(service.compose(problems[index]))
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(problems))]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in callers)
+        assert len(threads) == len(problems)
+        assert len(set(threads)) == len(problems)  # each on its own caller
+        assert state["peak"] == 1
+        assert results == {
+            index: _constraints_text(compose(problem)) for index, problem in enumerate(problems)
+        }
+
+    def test_admission_counters_survive_a_thread_storm(self, problems):
+        # More callers than cores, mixing blocking and async calls on
+        # overlapping keys, with rapid thread switching: a lost update to
+        # the pending count or the in-flight table would leave residue.
+        expected = [_constraints_text(compose(problem)) for problem in problems]
+        results, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CompositionService(config=ServiceConfig(max_pending=4, admission="block")) as svc:
+
+                def caller(index):
+                    try:
+                        for step in range(6):
+                            which = (index + step) % len(problems)
+                            if step % 2:
+                                result = svc.submit_problem(problems[which]).result(60)
+                            else:
+                                result = svc.compose(problems[which], timeout=60)
+                            results.append(_constraints_text(result) == expected[which])
+                    except Exception as exc:  # noqa: BLE001 - surfaced below
+                        errors.append(exc)
+
+                callers = [threading.Thread(target=caller, args=(i,)) for i in range(12)]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(120)
+                assert not any(thread.is_alive() for thread in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert results == [True] * 12 * 6
+        metrics = svc.metrics()["requests"]
+        assert metrics["pending"] == 0 and metrics["in_flight"] == 0
+        assert metrics["completed"] + metrics["deduplicated"] == metrics["submitted"] == 72

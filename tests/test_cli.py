@@ -106,6 +106,17 @@ class TestServeArguments:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--micro-batch-wait", "0.002"], ["--micro-batch-size", "16"]]
+    )
+    def test_micro_batch_flags_are_rejected(self, flag, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCatalogGCCommand:
     def test_gc_bounds_checkpoints_and_prefix_reuse_survives(self, root, record_files, capsys):
