@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="with --admission block: how long a request may wait for queue space",
+        help="with --admission block: how long a request may wait for admission",
     )
     serve.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     serve.add_argument(
@@ -532,10 +532,10 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        # Release the port before draining: serve_forever closes on clean
-        # exits, but a KeyboardInterrupt can land outside its try block, so
-        # close here too (idempotent) — otherwise the socket leaks while
-        # service.stop() drains the queue.
+        # Release the port first: serve_forever closes on clean exits, but
+        # a KeyboardInterrupt can land outside its try block, so close here
+        # too (idempotent) — otherwise the socket leaks while the follower,
+        # elector and service threads are joined.
         server.close()
         if elector is not None:
             elector.stop()

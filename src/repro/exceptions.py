@@ -176,20 +176,21 @@ class ReplicationError(ServiceError):
 
 
 class ServiceOverloadedError(ServiceError):
-    """The service rejected a request because its queue is at capacity.
+    """The service rejected a request because it is at capacity.
 
-    Admission control: the request was *not* enqueued; the caller may retry
+    Admission control: ``max_pending`` requests already wait for the
+    execution lock, so this one was *not* admitted; the caller may retry
     later or raise ``max_pending``.
     """
 
 
 class ServiceDeadlineError(ServiceOverloadedError):
-    """A blocking-admission request waited past its deadline for queue space.
+    """A blocking-admission request waited past its deadline for admission.
 
-    Raised only with ``ServiceConfig(admission="block")`` and a deadline (the
-    service-wide ``deadline_seconds`` or a per-request override): the request
-    blocked for its whole budget without the queue draining below
-    ``max_pending``.  Subclasses :class:`ServiceOverloadedError` because the
-    meaning to the caller is the same — not enqueued, retry later — which
-    also keeps HTTP 429 handling uniform.
+    Raised only with ``ServiceConfig(admission="block")`` and a
+    ``deadline_seconds``: the request blocked for its whole budget while
+    ``max_pending`` requests kept waiting for the execution lock.
+    Subclasses :class:`ServiceOverloadedError` because the meaning to the
+    caller is the same — not admitted, retry later — which also keeps HTTP
+    429 handling uniform.
     """

@@ -2,8 +2,13 @@
 
 ``repro.obs.trace`` records spans into a bounded ring plus an optional
 JSONL sink; ``repro.obs.merge`` reassembles the sinks of router, primary,
-and followers into one tree per trace id.
+and followers into one tree per trace id; ``repro.obs.jsonl`` is the
+fail-silent JSONL appender behind every log file (traces, HTTP access,
+fault audit).  The package imports nothing else from ``repro``, so any
+layer may use it.
 """
+
+from repro.obs.jsonl import JsonlAppender
 
 from repro.obs.trace import (
     LOG_ENV_VAR,
@@ -31,6 +36,7 @@ from repro.obs.merge import (
 )
 
 __all__ = [
+    "JsonlAppender",
     "LOG_ENV_VAR",
     "SERVICE_ENV_VAR",
     "SPAN_ID_HEADER",

@@ -1,14 +1,15 @@
 """The composition service: a concurrent serving front-end over the engine.
 
-* :mod:`repro.service.server` — :class:`CompositionService`: a request queue
-  with admission control, in-flight deduplication (identical fingerprints
-  coalesce to one computation), caller-runs execution — one composition
-  at a time, on the calling thread, through
+* :mod:`repro.service.server` — :class:`CompositionService`: blocking
+  ``compose``/``compose_chain``/``compose_catalog`` calls behind admission
+  control, in-flight deduplication (identical fingerprints coalesce to one
+  computation), caller-runs execution — one composition at a time, on the
+  calling thread, through
   :class:`~repro.engine.batch.BatchComposer` — per-request
   :class:`~repro.compose.config.ComposerConfig` overrides, and durable hop
   checkpoints when backed by a :class:`~repro.catalog.MappingCatalog`;
 * :mod:`repro.service.metrics` — the metrics the service aggregates
-  (hit rates, per-phase timings, queue/batch statistics, degradation
+  (hit rates, per-phase timings, request counters, degradation
   counters, labeled latency histograms with a Prometheus text exposition);
   request-scoped tracing lives in :mod:`repro.obs` and is threaded through
   every layer here — HTTP ingress spans, queue/execution spans, journal and
@@ -45,7 +46,7 @@ from repro.service.replica import (
     open_source,
 )
 from repro.service.router import RouterHTTPServer
-from repro.service.server import CompositionService, ServiceConfig, Ticket
+from repro.service.server import CompositionService, ServiceConfig
 
 __all__ = [
     "CircuitBreaker",
@@ -58,6 +59,5 @@ __all__ = [
     "ServiceConfig",
     "ServiceHTTPServer",
     "ServiceMetrics",
-    "Ticket",
     "open_source",
 ]

@@ -68,10 +68,8 @@ hammering a recovering node.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-import threading
 import time
 from http.server import ThreadingHTTPServer
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
@@ -140,7 +138,7 @@ class _Handler(RequestHandler):
         sink = self.server.access_sink
         if sink is None:
             return
-        sink.write(
+        sink.append(
             {
                 "ts": time.time(),
                 "method": method,
@@ -478,42 +476,6 @@ class _Handler(RequestHandler):
             )
 
 
-class _AccessSink:
-    """Append-only JSONL access log with the fault-audit fail-silent contract.
-
-    One record per finished request.  Any OSError silences the sink for
-    the rest of the process — the access log is an audit convenience and
-    must never turn request serving into an I/O casualty.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.Lock()
-        self._handle = None
-        self._failed = False
-
-    def write(self, record: dict) -> None:
-        with self._lock:
-            if self._failed:
-                return
-            try:
-                if self._handle is None:
-                    self._handle = open(self.path, "a", encoding="utf-8")
-                self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-                self._handle.flush()
-            except OSError:
-                self._failed = True
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-
-
 class _ServiceHTTPD(ThreadingHTTPServer):
     """The stdlib server plus the attributes handlers reach through ``self.server``."""
 
@@ -521,7 +483,7 @@ class _ServiceHTTPD(ThreadingHTTPServer):
     verbose: bool
     follower: "Optional[ReplicationFollower]" = None
     elector: "Optional[LeaderElector]" = None
-    access_sink: Optional[_AccessSink] = None
+    access_sink: Optional[obs.JsonlAppender] = None
 
     @property
     def role(self) -> str:
@@ -558,7 +520,9 @@ class ServiceHTTPServer(HTTPServerHost):
         self.service = service
         self.follower = follower
         self.elector = elector
-        self._access_sink = _AccessSink(access_log) if access_log else None
+        # One record per finished request; an unwritable path silences the
+        # log, never the requests.
+        self._access_sink = obs.JsonlAppender(access_log) if access_log else None
         # Handlers reach the service through their ``server`` attribute.
         self._httpd.service = service
         self._httpd.verbose = verbose

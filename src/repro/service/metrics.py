@@ -8,10 +8,11 @@ output.  Collected:
 
 * request counters — submitted, completed, failed, timed out, coalesced into
   an in-flight duplicate, rejected by admission control, blocked waiting for
-  queue space, expired past their admission deadline;
+  admission, expired past their admission deadline;
 * batching — number of executions (``batches``) and items they ran (one
   each: requests execute one at a time);
-* latency — cumulative queue-wait and execution seconds (with means);
+* latency histograms — queue wait (lease claim plus execution-lock wait),
+  execution, journal fsync, shard lock, replication lag and elections;
 * composition phases — the per-phase wall-clock buckets of every served
   result (:mod:`repro.compose.phases`), summed; and
 * engine stores — expression-cache hits/misses accumulated over batch
@@ -118,8 +119,6 @@ class ServiceMetrics:
         self._gc_sweep_failure_types: Dict[str, int] = {}
         self.batches = 0
         self.batched_items = 0
-        self.queue_seconds = 0.0
-        self.execution_seconds = 0.0
         self._phase_seconds: Dict[str, float] = {}
         self._cache_hits = 0.0
         self._cache_misses = 0.0
@@ -280,8 +279,6 @@ class ServiceMetrics:
                 self.timed_out += 1
             else:
                 self.failed += 1
-            self.queue_seconds += queue_seconds
-            self.execution_seconds += execution_seconds
             self.histograms["queue_seconds"].observe(queue_seconds)
             self.histograms["execution_seconds"].observe(execution_seconds)
             for phase, seconds in phase_seconds:
@@ -299,7 +296,6 @@ class ServiceMetrics:
     ) -> dict:
         """Everything as one JSON-serializable dict."""
         with self._lock:
-            finished = self.completed + self.failed + self.timed_out
             cache_total = self._cache_hits + self._cache_misses
             return {
                 "requests": {
@@ -319,16 +315,6 @@ class ServiceMetrics:
                     "batched_items": self.batched_items,
                     "mean_batch_size": (
                         self.batched_items / self.batches if self.batches else 0.0
-                    ),
-                },
-                "latency": {
-                    "queue_seconds_total": self.queue_seconds,
-                    "execution_seconds_total": self.execution_seconds,
-                    "mean_queue_seconds": (
-                        self.queue_seconds / finished if finished else 0.0
-                    ),
-                    "mean_execution_seconds": (
-                        self.execution_seconds / finished if finished else 0.0
                     ),
                 },
                 "phases": dict(sorted(self._phase_seconds.items())),

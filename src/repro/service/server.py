@@ -1,31 +1,31 @@
 """The composition service: a concurrent serving front-end over the engine.
 
 The ROADMAP's north star is a *system*, not a library: many clients submit
-composition work concurrently, and the engine's accelerators — the shared
-expression cache, hop checkpoints, the cost-guided planner — should work for
-all of them at once.  :class:`CompositionService` is that front-end:
+composition work concurrently, and the engine's accelerators — hop
+checkpoints, the cost-guided planner — should work for all of them at once.
+:class:`CompositionService` is that front-end, and its blocking calls
+(:meth:`~CompositionService.compose`, :meth:`~CompositionService.compose_chain`,
+:meth:`~CompositionService.compose_catalog`) are the only way in:
 
-* **request queue with admission control** — submissions return a
-  :class:`Ticket` immediately; when the queue is at ``max_pending`` work
-  items, new requests are rejected with
+* **admission control** — at most ``max_pending`` distinct requests may wait
+  for the execution lock; past that bound a new request is rejected with
   :class:`~repro.exceptions.ServiceOverloadedError`
-  (``admission="reject"``, the default) or *block until space frees*
-  (``admission="block"``), optionally bounded by a per-request deadline
-  after which :class:`~repro.exceptions.ServiceDeadlineError` is raised —
-  bursty clients wait instead of erroring, with bounded patience;
+  (``admission="reject"``, the default) or *blocks until space frees*
+  (``admission="block"``), optionally bounded by a deadline after which
+  :class:`~repro.exceptions.ServiceDeadlineError` is raised — bursty
+  clients wait instead of erroring, with bounded patience;
 * **deduplication** — every request is keyed by the content fingerprint of
   its inputs plus its effective :class:`ComposerConfig`; a request whose key
-  matches one that is queued *or currently executing* coalesces onto that
+  matches one that is waiting *or currently executing* coalesces onto that
   computation and receives the same payload (sound because composition is
   deterministic in exactly those inputs);
-* **caller-runs execution** — a blocking ``compose`` / ``compose_chain``
-  composes on the calling thread (an HTTP connection thread, say) through
+* **caller-runs execution** — an admitted request composes on the calling
+  thread (an HTTP connection thread, say) through
   :class:`~repro.engine.batch.BatchComposer`, under one service-wide lock
-  that keeps one composition running at a time; async ``submit_*`` requests
-  queue for a drain thread that executes them the same way;
-* **per-request configuration** — a submission may carry its own
-  ``ComposerConfig``; configs are part of the dedup key and the grouping, so
-  requests only share work when their results would be identical;
+  that keeps one composition running at a time;
+* **per-request configuration** — a request may carry its own
+  ``ComposerConfig``; configs are part of the dedup key, so requests only
+  share work when their results would be identical;
 * **durability** — given a :class:`~repro.catalog.MappingCatalog`, chain
   requests record hop checkpoints in the catalog's *persistent* store
   (written through on every hop), so a restarted service answers warm;
@@ -39,10 +39,10 @@ all of them at once.  :class:`CompositionService` is that front-end:
   :meth:`~repro.catalog.MappingCatalog.gc` periodically (checkpoint age/LRU
   eviction, old result versions), so a long-lived service does not grow its
   catalog without bound; and
-* **metrics** — :meth:`CompositionService.metrics` surfaces queue depths,
-  dedup/rejection counters, batch sizes, cache/checkpoint hit rates and the
-  summed per-phase timings of everything served
-  (:mod:`repro.service.metrics`).
+* **metrics** — :meth:`CompositionService.metrics` surfaces waiting and
+  in-flight counts, dedup/rejection counters, cache/checkpoint hit rates,
+  queue-wait/execution histograms and the summed per-phase timings of
+  everything served (:mod:`repro.service.metrics`).
 
 Results are byte-identical to calling :func:`repro.compose.compose` /
 :func:`repro.engine.compose_chain` directly — the service only adds
@@ -55,10 +55,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.algebra.digest import DIGEST_SIZE
 from repro.catalog.catalog import MappingCatalog
@@ -95,8 +94,7 @@ _SPAN_HISTOGRAMS = {
     "election.transition": "election_seconds",
 }
 
-__all__ = ["ServiceConfig", "Ticket", "CompositionService"]
-
+__all__ = ["ServiceConfig", "CompositionService"]
 
 
 @dataclass(frozen=True)
@@ -106,28 +104,23 @@ class ServiceConfig:
     Attributes
     ----------
     max_pending:
-        Admission bound: maximum number of *distinct* work items admitted
-        but not yet executing — queued async submissions plus blocking
-        callers waiting for the execution lock.  Coalesced duplicates ride
-        along for free.
+        Admission bound: maximum number of *distinct* requests admitted but
+        not yet executing — callers waiting for the execution lock.
+        Coalesced duplicates ride along for free.
     admission:
-        What happens to a submission past the bound: ``"reject"`` (the
+        What happens to a request past the bound: ``"reject"`` (the
         default) raises :class:`ServiceOverloadedError` immediately;
-        ``"block"`` waits for the queue to drain below ``max_pending``.
+        ``"block"`` waits until fewer than ``max_pending`` callers wait.
     deadline_seconds:
-        With ``admission="block"``, how long a submission may wait for queue
-        space before :class:`~repro.exceptions.ServiceDeadlineError` is
-        raised; ``None`` waits indefinitely.  Each ``submit_*`` call may
-        override it per request.
+        With ``admission="block"``, how long a request may wait for
+        admission before :class:`~repro.exceptions.ServiceDeadlineError` is
+        raised; ``None`` waits indefinitely.
     timeout_seconds:
         Soft per-request budget, forwarded to the underlying
         :class:`~repro.engine.batch.BatchConfig`.
     composer_config:
         The default :class:`ComposerConfig` for requests that do not carry
         their own override.
-    share_expression_cache / cache_max_entries:
-        Expression-cache settings of each execution, as in
-        :class:`~repro.engine.batch.BatchConfig`.
     gc_interval_seconds:
         With a catalog attached, run :meth:`~repro.catalog.MappingCatalog.gc`
         in a background sweep every this many seconds (``None``, the default,
@@ -155,7 +148,7 @@ class ServiceConfig:
         dead owners stop renewing and peers take over.  ``None`` (default)
         disables cross-process claims.
     lease_wait_seconds:
-        How long a submission waits for a peer's live claim before doing the
+        How long a request waits for a peer's live claim before doing the
         work itself anyway (the result is deterministic, so a duplicated
         composition is wasted CPU, never a wrong answer).  Defaults to
         ``4 * lease_ttl_seconds``.
@@ -182,8 +175,6 @@ class ServiceConfig:
     deadline_seconds: Optional[float] = None
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
-    share_expression_cache: bool = True
-    cache_max_entries: int = 200_000
     gc_interval_seconds: Optional[float] = None
     gc_checkpoint_max_files: Optional[int] = None
     gc_checkpoint_max_age_seconds: Optional[float] = None
@@ -241,61 +232,19 @@ class ServiceConfig:
             raise EngineError("slow_trace_seconds must be non-negative")
 
 
-class Ticket:
-    """A claim on one submitted request (a minimal, thread-safe future).
-
-    ``coalesced`` is ``True`` when this submission deduplicated onto an
-    already in-flight identical request.  :meth:`result` blocks until the
-    request's execution delivers, then returns the payload
-    (:class:`~repro.compose.result.CompositionResult` or
-    :class:`~repro.engine.chain.ChainResult`) or raises
-    :class:`~repro.exceptions.ServiceError`.
-    """
-
-    def __init__(self, coalesced: bool = False):
-        self._event = threading.Event()
-        self._payload: object = None
-        self._error: Optional[ServiceError] = None
-        self.coalesced = coalesced
-
-    def done(self) -> bool:
-        """``True`` once a payload or an error has been delivered."""
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> object:
-        """Block for the payload (raises ``ServiceError`` on failure/timeout)."""
-        if not self._event.wait(timeout):
-            raise ServiceError(f"no result within {timeout} seconds")
-        if self._error is not None:
-            raise self._error
-        return self._payload
-
-    def _deliver(self, payload: object) -> None:
-        self._payload = payload
-        self._event.set()
-
-    def _fail(self, error: ServiceError) -> None:
-        self._error = error
-        self._event.set()
-
-
 class _WorkItem:
-    """One distinct admitted computation and every ticket coalesced onto it."""
+    """One distinct admitted computation; coalesced callers wait on ``done``."""
 
-    __slots__ = ("key", "kind", "payload", "config", "tickets", "enqueued_at", "enqueued_wall", "trace")
+    __slots__ = ("key", "kind", "payload", "config", "done", "result", "error")
 
     def __init__(self, key: bytes, kind: str, payload: object, config: ComposerConfig):
         self.key = key
         self.kind = kind
         self.payload = payload
         self.config = config
-        self.tickets: List[Ticket] = []
-        self.enqueued_at = time.perf_counter()
-        # The submitting thread's span context (if the request rode in under
-        # a trace): an async item executes on the drain thread, so queue-wait
-        # and execution spans are recorded retroactively against this parent.
-        self.enqueued_wall = time.time()
-        self.trace = obs.current()
+        self.done = threading.Event()
+        self.result: object = None
+        self.error: Optional[ServiceError] = None
 
 
 class CompositionService:
@@ -324,19 +273,16 @@ class CompositionService:
             catalog.checkpoints if catalog is not None else CheckpointStore()
         )
         self._lock = threading.Lock()
-        self._work_available = threading.Condition(self._lock)
         self._space_available = threading.Condition(self._lock)
-        # Async submissions awaiting the drain thread.
-        self._queue: Deque[_WorkItem] = deque()
-        # Admitted items not yet executing (queued or waiting for the lock).
+        # Admitted callers waiting for the execution lock.
         self._pending = 0
         self._in_flight: Dict[bytes, _WorkItem] = {}
         # Held for the whole of one execution: one composition at a time.
         self._execution_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
+        self._running = False
+        self._stopped = False
         self._gc_thread: Optional[threading.Thread] = None
         self._gc_stop = threading.Event()
-        self._stopping = False
         self._last_gc_monotonic: Optional[float] = None
         self._started_monotonic: Optional[float] = None
         self._gc_consecutive_failures = 0
@@ -385,29 +331,20 @@ class CompositionService:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> "CompositionService":
-        """Start the drain thread of async submissions (idempotent); returns ``self``."""
+        """Start the background GC sweep and storage probe (idempotent); returns ``self``."""
         with self._lock:
-            if self._thread is not None and self._thread.is_alive():
+            if self._running:
                 return self
-            self._stopping = False
+            self._running = True
+            self._stopped = False
             self._started_monotonic = time.monotonic()
-            self._thread = threading.Thread(
-                target=self._drain_loop, name="repro-composition-service", daemon=True
-            )
-            self._thread.start()
-            if (
-                self.catalog is not None
-                and self.config.gc_interval_seconds is not None
-                and (self._gc_thread is None or not self._gc_thread.is_alive())
-            ):
+            if self.catalog is not None and self.config.gc_interval_seconds is not None:
                 self._gc_stop.clear()
                 self._gc_thread = threading.Thread(
                     target=self._gc_loop, name="repro-service-gc", daemon=True
                 )
                 self._gc_thread.start()
-            if self.catalog is not None and (
-                self._probe_thread is None or not self._probe_thread.is_alive()
-            ):
+            if self.catalog is not None:
                 self._probe_stop.clear()
                 self._probe_thread = threading.Thread(
                     target=self._probe_loop, name="repro-service-probe", daemon=True
@@ -418,30 +355,22 @@ class CompositionService:
         obs.recorder().add_listener(self._span_listener)
         return self
 
-    def stop(self, drain: bool = True) -> None:
+    def stop(self) -> None:
         """Stop the service.
 
-        With ``drain`` (the default) every async submission already queued
-        is served first; otherwise queued requests fail with
-        :class:`ServiceError`.  Submissions blocked in admission are woken
-        and fail with :class:`ServiceError` (the service is stopping, space
-        will never free for them).
+        New requests fail with :class:`ServiceError`, and so do requests
+        blocked in admission (they are woken: space will never free for
+        them).  Requests already admitted still compose and answer.
         """
         obs.recorder().remove_listener(self._span_listener)
         self._gc_stop.set()
         self._probe_stop.set()
         with self._lock:
-            if not drain:
-                while self._queue:
-                    self._drop(self._queue.popleft())
-            self._stopping = True
-            self._work_available.notify_all()
+            self._running = False
+            self._stopped = True
             self._space_available.notify_all()
-            thread = self._thread
-            gc_thread = self._gc_thread
-            probe_thread = self._probe_thread
-        if thread is not None:
-            thread.join()
+            gc_thread, self._gc_thread = self._gc_thread, None
+            probe_thread, self._probe_thread = self._probe_thread, None
         if gc_thread is not None:
             gc_thread.join()
         if probe_thread is not None:
@@ -449,10 +378,6 @@ class CompositionService:
         if self.leases is not None:
             self.leases.stop_heartbeat()
             self.leases.release_all()
-        with self._lock:
-            self._thread = None
-            self._gc_thread = None
-            self._probe_thread = None
 
     def __enter__(self) -> "CompositionService":
         return self.start()
@@ -462,61 +387,23 @@ class CompositionService:
 
     @property
     def is_running(self) -> bool:
-        thread = self._thread
-        return thread is not None and thread.is_alive()
+        return self._running
 
-    # -- submission ----------------------------------------------------------------
+    # -- requests ------------------------------------------------------------------
 
-    def submit_problem(
-        self,
-        problem: CompositionProblem,
-        config: Optional[ComposerConfig] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> Ticket:
-        """Queue one composition problem; returns with a ticket once admitted.
+    def compose(self, problem: CompositionProblem, config: Optional[ComposerConfig] = None):
+        """Compose one problem on the calling thread, or share the result of an
+        identical in-flight request.
 
         Pass ``ComposerConfig.cost_guided()`` as ``config`` to compose with
-        the cost-guided planner.  ``deadline_seconds`` overrides the service-wide admission deadline
-        for this request (meaningful with ``admission="block"``).
-
-        Submissions are accepted before :meth:`start` (they queue and are
-        served once the drain thread runs) but refused after :meth:`stop`.
+        the cost-guided planner.  Requests are served before :meth:`start`
+        but refused after :meth:`stop`.
         """
-        return self._submit("problem", problem, config, deadline_seconds, caller_runs=False)
+        return self._serve("problem", problem, config)
 
-    def submit_chain(
-        self,
-        mappings: Sequence[Mapping],
-        config: Optional[ComposerConfig] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> Ticket:
-        """Queue one chained composition; returns with a ticket once admitted."""
-        return self._submit("chain", tuple(mappings), config, deadline_seconds, caller_runs=False)
-
-    def compose(
-        self,
-        problem: CompositionProblem,
-        config: Optional[ComposerConfig] = None,
-        timeout: Optional[float] = None,
-    ):
-        """Compose one problem on the calling thread (or share the result of an
-        identical in-flight request).  A caller whose ``timeout`` passes while
-        it waits for the execution lock leaves its request to the drain thread.
-        """
-        return self._submit(
-            "problem", problem, config, None, caller_runs=True, timeout=timeout
-        ).result(timeout)
-
-    def compose_chain(
-        self,
-        mappings: Sequence[Mapping],
-        config: Optional[ComposerConfig] = None,
-        timeout: Optional[float] = None,
-    ):
+    def compose_chain(self, mappings: Sequence[Mapping], config: Optional[ComposerConfig] = None):
         """Compose one chain on the calling thread (see :meth:`compose`)."""
-        return self._submit(
-            "chain", tuple(mappings), config, None, caller_runs=True, timeout=timeout
-        ).result(timeout)
+        return self._serve("chain", tuple(mappings), config)
 
     def compose_catalog(
         self,
@@ -524,30 +411,21 @@ class CompositionService:
         name: str,
         version: Optional[int] = None,
         config: Optional[ComposerConfig] = None,
-        timeout: Optional[float] = None,
     ):
         """Serve a stored catalog ``problem`` or ``chain`` by name."""
         if self.catalog is None:
             raise ServiceError("this service has no catalog attached")
         if kind == "problem":
-            return self.compose(self.catalog.get_problem(name, version), config, timeout=timeout)
+            return self.compose(self.catalog.get_problem(name, version), config)
         if kind == "chain":
-            return self.compose_chain(self.catalog.get_chain(name, version), config, timeout=timeout)
+            return self.compose_chain(self.catalog.get_chain(name, version), config)
         raise ServiceError(f"cannot compose catalog kind {kind!r} (expected problem or chain)")
 
-    def _submit(
-        self,
-        kind: str,
-        payload,
-        config: Optional[ComposerConfig],
-        deadline_seconds: Optional[float],
-        caller_runs: bool,
-        timeout: Optional[float] = None,
-    ) -> Ticket:
-        """Admit one request; queue it, or (``caller_runs``) execute it here."""
+    def _serve(self, kind: str, payload, config: Optional[ComposerConfig]):
+        """Admit one request, execute it here (or wait for its twin), return the payload."""
         if kind == "chain":
             if not payload:
-                raise ServiceError("cannot submit an empty chain")
+                raise ServiceError("cannot compose an empty chain")
             content = chain_fingerprint(payload)
         else:
             content = payload.fingerprint()
@@ -556,36 +434,21 @@ class CompositionService:
         h.update(kind.encode())
         h.update(content)
         h.update(effective.fingerprint())
-        ticket, item = self._admit(
-            h.digest(), kind, payload, effective, deadline_seconds, queued=not caller_runs
-        )
-        if item is not None and caller_runs and not self._execute(item, timeout):
-            with self._lock:
-                if self._stopping:
-                    self._drop(item)
-                else:
-                    self._queue.append(item)
-                    self._work_available.notify()
-            raise ServiceError(f"no result within {timeout} seconds")
-        return ticket
+        item, owner = self._admit(h.digest(), kind, payload, effective)
+        if owner:
+            self._execute(item)
+        else:
+            item.done.wait()
+        if item.error is not None:
+            raise item.error
+        return item.result
 
     def _admit(
-        self,
-        key: bytes,
-        kind: str,
-        payload: object,
-        config: ComposerConfig,
-        deadline_seconds: Optional[float],
-        queued: bool,
-    ) -> Tuple[Ticket, Optional[_WorkItem]]:
-        """Admission and single-flight dedup: the caller's ticket, plus the new
-        item it owns unless it coalesced (a ``queued`` item goes to the drain
-        thread, otherwise the caller executes it)."""
-        budget = (
-            deadline_seconds
-            if deadline_seconds is not None
-            else self.config.deadline_seconds
-        )
+        self, key: bytes, kind: str, payload: object, config: ComposerConfig
+    ) -> Tuple[_WorkItem, bool]:
+        """Admission and single-flight dedup: the request's work item, and
+        whether the caller owns (must execute) it or coalesced onto it."""
+        budget = self.config.deadline_seconds
         deadline = time.monotonic() + budget if budget is not None else None
         blocked = False
         with self._lock:
@@ -598,113 +461,81 @@ class CompositionService:
                 # sometimes-"stopped".
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if blocked and remaining is not None and remaining <= 0:
-                    self.metrics_store.record_deadline_expired()
-                    raise ServiceDeadlineError(
-                        f"queue stayed at capacity ({self.config.max_pending} pending) "
-                        f"for the whole {budget}-second admission deadline"
-                    )
-                # Before the first start() submissions simply accumulate in
-                # the queue; only a *stopped* service refuses work.
-                if self._stopping:
+                    break
+                if self._stopped:
                     raise ServiceError("the service is stopped; call start() first")
                 existing = self._in_flight.get(key)
                 if existing is not None:
-                    # Identical in-flight request (queued or executing): coalesce.
-                    ticket = Ticket(coalesced=True)
-                    existing.tickets.append(ticket)
+                    # Identical in-flight request (waiting or executing): coalesce.
                     self.metrics_store.record_submitted(coalesced=True)
-                    return ticket, None
+                    return existing, False
                 if self._pending < self.config.max_pending:
-                    break
+                    item = _WorkItem(key, kind, payload, config)
+                    self._in_flight[key] = item
+                    self._pending += 1
+                    self.metrics_store.record_submitted()
+                    return item, True
                 if self.config.admission == "reject":
                     self.metrics_store.record_rejected()
                     raise ServiceOverloadedError(
-                        f"request queue is at capacity ({self.config.max_pending} pending)"
+                        f"service is at capacity ({self.config.max_pending} pending)"
                     )
                 if remaining is not None and remaining <= 0:
-                    self.metrics_store.record_deadline_expired()
-                    raise ServiceDeadlineError(
-                        f"queue stayed at capacity ({self.config.max_pending} pending) "
-                        f"for the whole {budget}-second admission deadline"
-                    )
+                    break
                 if not blocked:
                     blocked = True
                     self.metrics_store.record_blocked()
                 self._space_available.wait(remaining)
-            item = _WorkItem(key, kind, payload, config)
-            ticket = Ticket()
-            item.tickets.append(ticket)
-            self._in_flight[key] = item
-            self._pending += 1
-            self.metrics_store.record_submitted()
-            if queued:
-                self._queue.append(item)
-                self._work_available.notify()
-            return ticket, item
+        self.metrics_store.record_deadline_expired()
+        raise ServiceDeadlineError(
+            f"service stayed at capacity ({self.config.max_pending} pending) "
+            f"for the whole {budget}-second admission deadline"
+        )
 
     # -- execution -----------------------------------------------------------------
 
-    def _drain_loop(self) -> None:
-        """Execute queued async submissions one at a time until stopped and drained."""
-        while True:
-            with self._lock:
-                while not self._queue and not self._stopping:
-                    self._work_available.wait()
-                if not self._queue:
-                    return  # stopping and drained
-                item = self._queue.popleft()
-            self._execute(item)
+    def _execute(self, item: _WorkItem) -> None:
+        """Execute an admitted item on the calling thread and wake its waiters.
 
-    def _execute(self, item: _WorkItem, timeout: Optional[float] = None) -> bool:
-        """Execute one work item under the execution lock and deliver its tickets.
-
-        The only function that executes work items; ``False`` means the lock
-        was not acquired within ``timeout`` and nothing ran.
+        The only function that executes work items.  The lease claim and the
+        wait for the execution lock are the request's queue time.
         """
+        queued_wall = time.time()
+        queued = time.perf_counter()
         lease = self._claim_lease(item)
         try:
-            if not self._execution_lock.acquire(timeout=-1 if timeout is None else timeout):
-                return False
-            try:
+            with self._execution_lock:
                 started = time.perf_counter()
                 with self._lock:
                     self._pending -= 1
                     self._space_available.notify()
-                failure: Optional[Exception] = None
                 try:
                     composer = BatchComposer(
                         BatchConfig(
                             timeout_seconds=self.config.timeout_seconds,
                             composer_config=item.config,
-                            share_expression_cache=self.config.share_expression_cache,
-                            cache_max_entries=self.config.cache_max_entries,
                         ),
                         checkpoints=self.checkpoints,
                     )
                     run = composer.run_chains if item.kind == "chain" else composer.run
                     report = run([item.payload])
-                except Exception as exc:  # noqa: BLE001 - fails its tickets, not the service
-                    failure = exc
+                except Exception as exc:  # noqa: BLE001 - fails its callers, not the service
+                    report = exc
                 execution_seconds = time.perf_counter() - started
-            finally:
-                self._execution_lock.release()
         finally:
             self._release_lease(lease)
-        queue_seconds = started - item.enqueued_at
-        if failure is not None:
+        queue_seconds = started - queued
+        if isinstance(report, Exception):
             # Record the exception type so /metrics distinguishes a sick
-            # disk from a code bug, and surface it in every ticket's error.
-            self.metrics_store.record_batch_failure(type(failure).__name__, 1)
-            error = ServiceError(
-                f"execution failed with {type(failure).__name__}: {failure!r}"
-            )
-            self._finish(item, None, error, queue_seconds, execution_seconds)
-            return True
+            # disk from a code bug, and surface it in every caller's error.
+            self.metrics_store.record_batch_failure(type(report).__name__, 1)
+            error = ServiceError(f"execution failed with {type(report).__name__}: {report!r}")
+            self._finish(item, None, error, queued_wall, queue_seconds, execution_seconds)
+            return
         self.metrics_store.record_batch(size=1, cache_stats=report.cache_stats)
         outcome = report.items[0]
         error = None if outcome.status is ProblemStatus.SUCCEEDED else _item_error(outcome)
-        self._finish(item, outcome, error, queue_seconds, outcome.elapsed_seconds)
-        return True
+        self._finish(item, outcome, error, queued_wall, queue_seconds, outcome.elapsed_seconds)
 
     # -- cross-process claims --------------------------------------------------------
 
@@ -741,70 +572,58 @@ class CompositionService:
         except (CatalogError, OSError):  # pragma: no cover - best-effort
             pass
 
-    def _drop(self, item: _WorkItem) -> None:
-        """Fail an admitted item that will never execute (caller holds ``_lock``)."""
-        self._pending -= 1
-        self._in_flight.pop(item.key, None)
-        for ticket in item.tickets:
-            ticket._fail(ServiceError("service stopped before serving"))
-
     def _finish(
         self,
         item: _WorkItem,
         outcome: Optional[BatchItemResult],
         error: Optional[ServiceError],
+        queued_wall: float,
         queue_seconds: float,
         execution_seconds: float,
     ) -> None:
-        # Pop from the in-flight table *before* delivering: once tickets are
-        # woken, an identical new request must start a fresh computation
-        # rather than coalesce onto this finished one.
+        # Pop from the in-flight table *before* waking coalesced callers:
+        # from then on an identical new request must start a fresh
+        # computation rather than coalesce onto this finished one.
         with self._lock:
             self._in_flight.pop(item.key, None)
-            tickets = list(item.tickets)
         payload = outcome.result if outcome is not None and error is None else None
-        status = (
-            outcome.status.value
-            if outcome is not None
-            else ProblemStatus.FAILED.value
-        )
-        for ticket in tickets:
-            if error is None:
-                ticket._deliver(payload)
-            else:
-                ticket._fail(error)
+        status = outcome.status.value if outcome is not None else ProblemStatus.FAILED.value
+        item.result = payload
+        item.error = error
+        item.done.set()
+        phase_seconds = _phase_seconds(payload)
         self.metrics_store.record_completed(
             status=status,
             queue_seconds=queue_seconds,
             execution_seconds=execution_seconds,
-            phase_seconds=_phase_seconds(payload),
+            phase_seconds=phase_seconds,
         )
-        if item.trace is not None:
-            # Recorded retroactively against the submitter's context (an
-            # async item executes on the drain thread): queue wait, then
+        trace = obs.current()
+        if trace is not None:
+            # Recorded from the measured timings, parented on the caller's
+            # ambient context (its HTTP ingress span, say): queue wait, then
             # execution, with the composition's per-phase buckets bridged as
             # children of the execution span.
             obs.record_span(
                 "service.queue",
-                parent=item.trace,
-                started_at=item.enqueued_wall,
+                parent=trace,
+                started_at=queued_wall,
                 duration=queue_seconds,
                 kind=item.kind,
             )
             execute = obs.record_span(
                 "service.execute",
-                parent=item.trace,
-                started_at=item.enqueued_wall + queue_seconds,
+                parent=trace,
+                started_at=queued_wall + queue_seconds,
                 duration=execution_seconds,
                 kind=item.kind,
                 status_value=status,
             )
-            phase_start = item.enqueued_wall + queue_seconds
-            for phase, seconds in _phase_seconds(payload):
+            for phase, seconds in phase_seconds:
                 obs.record_span(
                     phases.span_name(phase),
                     parent=execute,
-                    started_at=phase_start,
+                    started_at=queued_wall + queue_seconds,
                     duration=seconds,
                 )
 
@@ -1055,9 +874,9 @@ class CompositionService:
 
         Degraded means the service still answers compositions but some
         durability promise is suspended: the storage breaker is open (disk
-        writes are being dropped), the service is not running (async
-        submissions are not being drained), or the
-        configured GC sweep has not completed within two intervals.
+        writes are being dropped), the service is not running (started and
+        not stopped), or the configured GC sweep has not completed within
+        two intervals.
         """
         breaker = self.breaker.snapshot()
         reasons = []

@@ -111,7 +111,7 @@ class TestGracefulDegradation:
         # open, the service must keep serving, and no request may fail.
         faults.install(FaultInjector.from_text("checkpoint.persist:eio"))
         with CompositionService(catalog, config) as svc:
-            results = [svc.compose_chain(chain, timeout=120) for chain in chains]
+            results = [svc.compose_chain(chain) for chain in chains]
             assert all(result is not None for result in results)
             assert svc.breaker.state == "open"
             stats = catalog.checkpoints.stats()
@@ -134,7 +134,7 @@ class TestGracefulDegradation:
         )
         faults.install(FaultInjector.from_text("checkpoint.persist:eio"))
         with CompositionService(catalog, config) as svc:
-            svc.compose_chain(chains[0], timeout=120)
+            svc.compose_chain(chains[0])
             assert svc.breaker.state == "open"
             # Storage "recovers": the injected fault schedule goes away.
             faults.clear()
@@ -142,7 +142,7 @@ class TestGracefulDegradation:
             assert svc.breaker.state == "closed"
             # Durability resumes: new compositions persist to disk again.
             before = catalog.checkpoints.stats()["disk_writes"]
-            svc.compose_chain(chains[1], timeout=120)
+            svc.compose_chain(chains[1])
             assert catalog.checkpoints.stats()["disk_writes"] > before
             assert svc.health()["status"] == "ok"
 
@@ -158,7 +158,7 @@ class TestGracefulDegradation:
         )
         faults.install(FaultInjector.from_text("checkpoint.persist:eio"))
         with CompositionService(catalog, config) as svc:
-            svc.compose_chain(chains[0], timeout=120)
+            svc.compose_chain(chains[0])
             assert svc.breaker.state == "open"
             faults.clear()
             deadline = time.monotonic() + 30

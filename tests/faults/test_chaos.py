@@ -293,3 +293,15 @@ class TestAuditTrail:
         assert [r["fired"] for r in records] == [1, 2]
         # The faults were survived: every version landed despite them.
         assert len(MappingCatalog(root).versions("mapping", "m")) == 4
+
+    def test_crash_fault_is_logged_before_the_process_dies(self, tmp_path, run_python):
+        log = tmp_path / "faults.jsonl"
+        child = run_python(
+            "from repro import faults; faults.fire('p')",
+            wait=False,
+            env_extra={faults.ENV_VAR: "p:crash", faults.LOG_ENV_VAR: str(log)},
+        )
+        child.communicate(timeout=120)
+        assert child.returncode == 137
+        (record,) = [json.loads(line) for line in log.read_text().splitlines()]
+        assert record["spec"] == "p:crash" and record["fired"] == 1

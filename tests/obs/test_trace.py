@@ -14,7 +14,7 @@ from repro import obs
 
 @pytest.fixture(autouse=True)
 def _fresh_recorder():
-    """Each test gets its own recorder; none leaks a sink or listeners."""
+    """Each test gets its own recorder; none leaks a sink."""
     obs.configure(service="test", log_path=None)
     yield
     obs.configure(service="", log_path=None)
@@ -124,12 +124,31 @@ class TestSink:
 
     def test_listeners_see_records_and_cannot_break_requests(self):
         seen = []
+
+        def broken(record):
+            raise ZeroDivisionError  # must be swallowed
+
         obs.recorder().add_listener(seen.append)
-        obs.recorder().add_listener(lambda r: 1 / 0)  # must be swallowed
+        obs.recorder().add_listener(broken)
         with obs.span("observed", new_trace=True):
             pass
         assert [r["name"] for r in seen] == ["observed"]
         obs.recorder().remove_listener(seen.append)
+        obs.recorder().remove_listener(broken)
+
+    def test_listeners_survive_configure(self, tmp_path):
+        # A service registers its span listener at start(); a later
+        # configure() (a CLI switching on a sink, say) must not cut it off.
+        seen = []
+        obs.recorder().add_listener(seen.append)
+        try:
+            obs.configure(service="reconfigured", log_path=str(tmp_path / "t.jsonl"))
+            with obs.span("after", new_trace=True):
+                pass
+            assert [r["name"] for r in seen] == ["after"]
+            assert obs.recorder().spans()[0]["service"] == "reconfigured"
+        finally:
+            obs.recorder().remove_listener(seen.append)
 
 
 class TestMergeAndVerify:

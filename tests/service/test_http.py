@@ -380,6 +380,107 @@ class TestTraceEcho:
                     assert len(response.headers.get_all(obs.SPAN_ID_HEADER)) == 1
 
 
+class TestTelemetry:
+    """Access log, slow-trace dumps and the service spans of one request."""
+
+    @pytest.fixture()
+    def serve(self):
+        started = []
+
+        def serve(config=None, access_log=None):
+            service = CompositionService(None, config or ServiceConfig()).start()
+            server = ServiceHTTPServer(service, port=0, access_log=access_log)
+            server.start()
+            started.append((server, service))
+            host, port = server.address
+            return service, f"http://{host}:{port}"
+
+        yield serve
+        for server, service in started:
+            server.stop()
+            service.stop()
+
+    def test_access_log_records_every_request(self, serve, tmp_path):
+        log = tmp_path / "access.jsonl"
+        _, base = serve(access_log=str(log))
+        problem = problem_by_name("example1_movies").problem
+        _, _, headers = _post(base + "/compose", problem_to_text(problem))
+        _get(base + "/healthz")
+        # A record is appended once its answer is sent: wait for both.
+        deadline = time.monotonic() + 30
+        while not log.exists() or len(log.read_text().splitlines()) < 2:
+            assert time.monotonic() < deadline, "access records never landed"
+            time.sleep(0.005)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(r["method"], r["path"], r["status"]) for r in records] == [
+            ("POST", "/compose", 200),
+            ("GET", "/healthz", 200),
+        ]
+        assert all(r["duration"] > 0 for r in records)
+        # A POST starts a trace; an untraced GET joins none.
+        assert records[0]["trace_id"] == headers[obs.TRACE_ID_HEADER]
+        assert records[1]["trace_id"] is None
+
+    def test_unwritable_access_log_silences_the_log_not_the_requests(self, serve, tmp_path):
+        # A directory cannot be opened for append: the first record fails
+        # and the log stays silent from then on.
+        _, base = serve(access_log=str(tmp_path))
+        problem = problem_by_name("example1_movies").problem
+        for _ in range(2):
+            status, body, _ = _post(base + "/compose", problem_to_text(problem))
+            assert status == 200
+            assert result_from_text(body).constraints.to_text() == (
+                compose(problem).constraints.to_text()
+            )
+        assert _get(base + "/healthz")[0] == 200
+
+    def test_slow_trace_dumps_the_span_tree(self, serve, capsys):
+        service, base = serve(config=ServiceConfig(slow_trace_seconds=0))
+        problem = problem_by_name("example1_movies").problem
+        _, _, headers = _post(base + "/compose", problem_to_text(problem))
+        trace_id = headers[obs.TRACE_ID_HEADER]
+        # The dump is written after the answer: wait for it.
+        deadline = time.monotonic() + 30
+        err = ""
+        while "service.execute" not in err:
+            assert time.monotonic() < deadline, "slow request never dumped"
+            time.sleep(0.005)
+            err += capsys.readouterr().err
+        assert service.metrics()["tracing"]["slow_requests"] == 1
+        assert "slow request" in err
+        assert trace_id in err and "http.request" in err and "service.execute" in err
+        # An untraced GET has no span tree to dump and is not counted.
+        _get(base + "/healthz")
+        assert service.metrics()["tracing"]["slow_requests"] == 1
+
+    def test_compose_spans_parent_on_the_ingress_span(self, serve):
+        _, base = serve()
+        problem = problem_by_name("example1_movies").problem
+        _, _, headers = _post(base + "/compose", problem_to_text(problem))
+        # The ingress span closes once its answer is sent: wait for it.
+        deadline = time.monotonic() + 30
+        while True:
+            spans = [
+                record
+                for record in obs.recorder().spans(headers[obs.TRACE_ID_HEADER])
+                if record.get("event") != "start"
+            ]
+            if any(record["name"] == "http.request" for record in spans):
+                break
+            assert time.monotonic() < deadline, "ingress span never closed"
+            time.sleep(0.005)
+        by_name = {}
+        for record in spans:
+            by_name.setdefault(record["name"], []).append(record)
+        (ingress,) = by_name["http.request"]
+        (queue,) = by_name["service.queue"]
+        (execute,) = by_name["service.execute"]
+        assert queue["parent_id"] == execute["parent_id"] == ingress["span_id"]
+        phase_spans = [r for r in spans if r["name"].startswith("compose.phase.")]
+        assert phase_spans
+        assert all(r["parent_id"] == execute["span_id"] for r in phase_spans)
+
+
 class TestRetryAfter:
     """Degraded answers tell clients *when* to come back (satellite of PR 8)."""
 
@@ -412,32 +513,60 @@ class TestRetryAfter:
         finally:
             service.breaker.record_success()
 
-    def test_overloaded_submission_carries_retry_after(self, tmp_path):
-        from repro.catalog import MappingCatalog
-        from repro.service import CompositionService, ServiceConfig, ServiceHTTPServer
+    def test_overloaded_submission_carries_retry_after(self, tmp_path, monkeypatch):
+        import threading
 
-        catalog = MappingCatalog(tmp_path / "cat")
+        import repro.engine.batch as batch
+
+        # One execution held open and one request waiting for the execution
+        # lock fill ``max_pending=1``: the next request over HTTP is
+        # rejected at admission.
+        release = threading.Event()
+        real = batch.compose
+
+        def held(problem, config=None):
+            release.wait(60)
+            return real(problem, config)
+
+        monkeypatch.setattr(batch, "compose", held)
         service = CompositionService(
-            catalog,
-            ServiceConfig(max_pending=1),
-        )
-        # Deliberately NOT started: the queue never drains, so the second
-        # submission over HTTP is rejected at admission.
+            MappingCatalog(tmp_path / "cat"), ServiceConfig(max_pending=1)
+        ).start()
         server = ServiceHTTPServer(service, port=0)
         server.start()
+        callers = []
+
+        def admit(name, pending):
+            caller = threading.Thread(
+                target=service.compose, args=(problem_by_name(name).problem,)
+            )
+            caller.start()
+            callers.append(caller)
+            deadline = time.monotonic() + 30
+            while True:
+                requests = service.metrics()["requests"]
+                if requests["submitted"] == len(callers) and requests["pending"] == pending:
+                    return
+                assert time.monotonic() < deadline, "caller never admitted"
+                time.sleep(0.002)
+
         try:
             host, port = server.address
-            base = f"http://{host}:{port}"
-            service.submit_problem(problem_by_name("example1_movies").problem)
-            # A *different* problem: an identical one would coalesce with the
-            # in-flight ticket instead of being admission-rejected.
+            admit("example1_movies", pending=0)  # executing, holds the lock
+            admit("example5_view_unfolding", pending=1)  # waits for the lock
+            # A *different* problem: an identical one would coalesce with an
+            # in-flight request instead of being admission-rejected.
             other = problem_by_name("example3_inclusion_chain").problem
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(base + "/compose", problem_to_text(other))
+                _post(f"http://{host}:{port}/compose", problem_to_text(other))
             assert excinfo.value.code == 429
             assert int(excinfo.value.headers["Retry-After"]) >= 1
         finally:
+            release.set()
+            for caller in callers:
+                caller.join(60)
             server.stop()
+            service.stop()
 
 
 class TestReplicaAcks:

@@ -1,9 +1,9 @@
 """Tests for the concurrent composition service.
 
-The load-bearing guarantee: the service adds scheduling — queueing,
+The load-bearing guarantee: the service adds scheduling — admission,
 deduplication, caller-runs execution, concurrency — but never semantics.  Every
 payload must be byte-identical to calling ``compose`` / ``compose_chain``
-directly, including under concurrent overlapping submissions (the
+directly, including under concurrent overlapping requests (the
 acceptance-criterion proof lives in :class:`TestConcurrentClients`).
 """
 
@@ -44,6 +44,84 @@ def service():
         yield svc
 
 
+@pytest.fixture()
+def problems():
+    chain = generate_workload(
+        WorkloadConfig(num_problems=1, min_chain_length=7, max_chain_length=7, seed=23)
+    )[0]
+    return pairwise_problems(chain)
+
+
+def _instrument(monkeypatch, before=None):
+    """Wrap the engine's compose()/compose_chain(); returns the executing threads.
+
+    ``before`` runs inside each execution (under the service's execution
+    lock): a ``release.wait`` there holds one execution open, so later
+    requests pile up behind it deterministically.
+    """
+    import repro.engine.batch as batch
+
+    threads = []
+
+    def wrap(real):
+        def instrumented(*args, **kwargs):
+            threads.append(threading.get_ident())
+            if before is not None:
+                before()
+            return real(*args, **kwargs)
+
+        return instrumented
+
+    monkeypatch.setattr(batch, "compose", wrap(batch.compose))
+    monkeypatch.setattr(batch, "compose_chain", wrap(batch.compose_chain))
+    return threads
+
+
+class _Call:
+    """One blocking service call running on its own thread."""
+
+    def __init__(self, fn, *args):
+        self.value = None
+        self.error = None
+        self.thread = threading.Thread(target=self._run, args=(fn, args))
+        self.thread.start()
+
+    def _run(self, fn, args):
+        try:
+            self.value = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - inspected by the test
+            self.error = exc
+
+    def result(self):
+        self.thread.join(60)
+        assert not self.thread.is_alive(), "call never returned"
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _await_metric(svc, name, value):
+    """Poll ``metrics()["requests"][name]`` until it equals ``value``."""
+    deadline = time.monotonic() + 30
+    while svc.metrics()["requests"][name] != value:
+        assert time.monotonic() < deadline, f"requests.{name} never reached {value}"
+        time.sleep(0.002)
+
+
+def _fill(svc, problems):
+    """Hold ``problems[0]`` executing and ``problems[1]`` waiting for the lock.
+
+    Needs an instrumented, held execution; with ``max_pending=1`` the
+    service is then exactly at its admission bound.
+    """
+    first = _Call(svc.compose, problems[0])
+    _await_metric(svc, "submitted", 1)
+    _await_metric(svc, "pending", 0)  # first now holds the lock
+    second = _Call(svc.compose, problems[1])
+    _await_metric(svc, "pending", 1)
+    return first, second
+
+
 class TestBasics:
     def test_problem_identical_to_direct_compose(self, service):
         problem = problem_by_name("example1_movies").problem
@@ -77,90 +155,89 @@ class TestBasics:
             compose(problem, ComposerConfig())
         )
 
-    def test_submissions_queue_before_start(self, chains):
-        svc = CompositionService()
-        ticket = svc.submit_chain(chains[0])  # accepted, waits for the loop
-        assert not ticket.done()
-        svc.start()
-        assert _constraints_text(ticket.result(60)) == _constraints_text(
-            compose_chain(chains[0])
-        )
-        svc.stop()
-        with pytest.raises(ServiceError):
-            svc.submit_chain(chains[0])  # a stopped service refuses work
-
     def test_failure_is_reported_not_swallowed(self, service, chains):
-        # An unsatisfiable submission: empty chains are rejected immediately.
+        # An unsatisfiable request: empty chains are rejected immediately.
         with pytest.raises(ServiceError):
-            service.submit_chain(())
+            service.compose_chain(())
 
-    def test_stop_drains_queue(self, chains):
-        svc = CompositionService(config=ServiceConfig())
-        svc.start()
-        tickets = [svc.submit_chain(chain) for chain in chains]
-        svc.stop()  # drain=True: everything already queued is served
-        assert all(ticket.done() for ticket in tickets)
-        for chain, ticket in zip(chains, tickets):
-            assert _constraints_text(ticket.result(0)) == _constraints_text(
-                compose_chain(chain)
-            )
+    def test_stopped_service_refuses_work(self, chains):
+        svc = CompositionService().start()
+        svc.stop()
+        assert not svc.is_running
+        with pytest.raises(ServiceError):
+            svc.compose_chain(chains[0])
 
 
 class TestDeduplication:
-    def test_identical_requests_coalesce(self, chains):
-        # Submitted before start(): every duplicate finds the first queued.
-        svc = CompositionService()
-        tickets = [svc.submit_chain(chains[0]) for _ in range(20)]
-        with svc:
-            results = [ticket.result(60) for ticket in tickets]
-        assert all(ticket.coalesced for ticket in tickets[1:])
+    def test_identical_requests_coalesce(self, service, chains, monkeypatch):
+        # The owner holds its execution open until every duplicate has
+        # coalesced onto it, so the dedup count is deterministic.
+        release = threading.Event()
+        threads = _instrument(monkeypatch, before=lambda: release.wait(60))
+        calls = [_Call(service.compose_chain, chains[0]) for _ in range(20)]
+        _await_metric(service, "deduplicated", 19)
+        release.set()
+        results = [call.result() for call in calls]
+        assert len(threads) == 1
         reference = _constraints_text(compose_chain(chains[0]))
         assert all(_constraints_text(result) == reference for result in results)
-        metrics = svc.metrics()
-        assert metrics["requests"]["deduplicated"] >= 1
+        metrics = service.metrics()
+        assert metrics["requests"]["deduplicated"] == 19
         assert metrics["requests"]["submitted"] == 20
 
-    def test_different_configs_do_not_coalesce(self, service):
+    def test_different_configs_do_not_coalesce(self, service, monkeypatch):
         problem = problem_by_name("glav_chain").problem
-        a = service.submit_problem(problem)
-        b = service.submit_problem(problem, config=ComposerConfig.cost_guided())
-        assert not b.coalesced or not a.coalesced
-        assert a.result(60).components == 0
-        assert b.result(60).components >= 1
+        release = threading.Event()
+        threads = _instrument(monkeypatch, before=lambda: release.wait(60))
+        fixed = _Call(service.compose, problem)
+        _await_metric(service, "submitted", 1)
+        _await_metric(service, "pending", 0)  # fixed now holds the lock
+        cost = _Call(service.compose, problem, ComposerConfig.cost_guided())
+        # Admitted as its own request, waiting behind the held execution.
+        _await_metric(service, "pending", 1)
+        release.set()
+        assert fixed.result().components == 0
+        assert cost.result().components >= 1
+        assert len(threads) == 2
+        assert service.metrics()["requests"]["deduplicated"] == 0
 
 
 class TestAdmissionControl:
-    def test_overload_rejected_deterministically(self, chains):
-        # The loop is not running yet, so the queue fills deterministically.
-        config = ServiceConfig(max_pending=2)
-        svc = CompositionService(config=config)
-        first = svc.submit_chain(chains[0])
-        second = svc.submit_chain(chains[1])
-        with pytest.raises(ServiceOverloadedError):
-            svc.submit_chain(chains[2])
-        # Coalesced duplicates ride on an existing item: still admitted.
-        duplicate = svc.submit_chain(chains[0])
-        assert duplicate.coalesced
-        assert svc.metrics()["requests"]["rejected"] == 1
-
-        svc.start()
-        svc.stop()  # drain serves the admitted items
-        for chain, ticket in ((chains[0], first), (chains[1], second), (chains[0], duplicate)):
-            assert _constraints_text(ticket.result(0)) == _constraints_text(
-                compose_chain(chain)
-            )
+    def test_overload_rejected_deterministically(self, problems, monkeypatch):
+        # One execution held open, one request waiting for the lock: the
+        # admission bound is reached deterministically.
+        release = threading.Event()
+        _instrument(monkeypatch, before=lambda: release.wait(60))
+        with CompositionService(config=ServiceConfig(max_pending=1)) as svc:
+            first, second = _fill(svc, problems)
+            with pytest.raises(ServiceOverloadedError):
+                svc.compose(problems[2])
+            # Coalesced duplicates ride on an existing item: still admitted.
+            duplicate = _Call(svc.compose, problems[1])
+            _await_metric(svc, "deduplicated", 1)
+            assert svc.metrics()["requests"]["rejected"] == 1
+            release.set()
+            for index, call in ((0, first), (1, second), (1, duplicate)):
+                assert _constraints_text(call.result()) == _constraints_text(
+                    compose(problems[index])
+                )
 
 
 class TestBlockingAdmission:
-    def test_deadline_expires_deterministically(self, chains):
-        # Loop not running: the queue can never drain, so a blocked request
-        # must ride out its whole deadline and then fail.
-        config = ServiceConfig(max_pending=1, admission="block")
-        svc = CompositionService(config=config)
-        svc.submit_chain(chains[0])
-        with pytest.raises(ServiceDeadlineError):
-            svc.submit_chain(chains[1], deadline_seconds=0.05)
-        metrics = svc.metrics()["requests"]
+    def test_deadline_expires_deterministically(self, problems, monkeypatch):
+        # The held execution never finishes within the deadline, so a
+        # blocked request must ride out its whole deadline and then fail.
+        release = threading.Event()
+        _instrument(monkeypatch, before=lambda: release.wait(60))
+        config = ServiceConfig(max_pending=1, admission="block", deadline_seconds=0.05)
+        with CompositionService(config=config) as svc:
+            calls = _fill(svc, problems)
+            with pytest.raises(ServiceDeadlineError):
+                svc.compose(problems[2])
+            metrics = svc.metrics()["requests"]
+            release.set()
+            for call in calls:
+                call.result()
         assert metrics["blocked"] == 1
         assert metrics["deadline_expired"] == 1
         assert metrics["rejected"] == 0
@@ -170,94 +247,87 @@ class TestBlockingAdmission:
         # overload, not a new failure class.
         assert issubclass(ServiceDeadlineError, ServiceOverloadedError)
 
-    def test_service_wide_deadline_applies(self, chains):
-        config = ServiceConfig(max_pending=1, admission="block", deadline_seconds=0.05)
-        svc = CompositionService(config=config)
-        svc.submit_chain(chains[0])
-        with pytest.raises(ServiceDeadlineError):
-            svc.submit_chain(chains[1])
+    def test_service_wide_deadline_applies(self, problems, monkeypatch):
+        release = threading.Event()
+        _instrument(monkeypatch, before=lambda: release.wait(60))
+        config = ServiceConfig(max_pending=1, admission="block", deadline_seconds=0.2)
+        with CompositionService(config=config) as svc:
+            calls = _fill(svc, problems)
+            started = time.monotonic()
+            with pytest.raises(ServiceDeadlineError):
+                svc.compose(problems[2])
+            waited = time.monotonic() - started
+            release.set()
+            for call in calls:
+                call.result()
+        # Blocked for the whole budget, not rejected at once.
+        assert 0.2 <= waited < 30
 
-    def test_blocked_submission_admitted_when_space_frees(self, chains):
+    def test_blocked_submission_admitted_when_space_frees(self, problems, monkeypatch):
+        release = threading.Event()
+        _instrument(monkeypatch, before=lambda: release.wait(60))
         config = ServiceConfig(max_pending=1, admission="block")
-        svc = CompositionService(config=config)
-        first = svc.submit_chain(chains[0])
-        admitted = {}
-
-        def blocked_submit():
-            admitted["ticket"] = svc.submit_chain(chains[1])
-
-        waiter = threading.Thread(target=blocked_submit)
-        waiter.start()
-        time.sleep(0.05)
-        assert waiter.is_alive()  # genuinely blocked, not rejected
-        svc.start()  # draining the queue frees space and admits the waiter
-        waiter.join(timeout=30)
-        assert not waiter.is_alive()
-        svc.stop()
-        assert _constraints_text(first.result(0)) == _constraints_text(
-            compose_chain(chains[0])
-        )
-        assert _constraints_text(admitted["ticket"].result(30)) == _constraints_text(
-            compose_chain(chains[1])
-        )
+        with CompositionService(config=config) as svc:
+            first, second = _fill(svc, problems)
+            blocked = _Call(svc.compose, problems[2])
+            _await_metric(svc, "blocked", 1)
+            assert blocked.thread.is_alive()  # genuinely blocked, not rejected
+            release.set()  # the held execution finishes, the waiter moves up
+            for index, call in enumerate((first, second, blocked)):
+                assert _constraints_text(call.result()) == _constraints_text(
+                    compose(problems[index])
+                )
         assert svc.metrics()["requests"]["blocked"] == 1
 
-    def test_stop_wakes_blocked_submitters(self, chains):
+    def test_stop_wakes_blocked_submitters(self, problems, monkeypatch):
+        release = threading.Event()
+        _instrument(monkeypatch, before=lambda: release.wait(60))
         config = ServiceConfig(max_pending=1, admission="block")
-        svc = CompositionService(config=config)
-        svc.submit_chain(chains[0])
-        outcome = {}
+        svc = CompositionService(config=config).start()
+        first, second = _fill(svc, problems)
+        blocked = _Call(svc.compose, problems[2])
+        _await_metric(svc, "blocked", 1)
+        svc.stop()
+        blocked.thread.join(30)
+        assert not blocked.thread.is_alive()
+        assert type(blocked.error) is ServiceError
+        # Requests admitted before stop() still compose and answer.
+        release.set()
+        for index, call in enumerate((first, second)):
+            assert _constraints_text(call.result()) == _constraints_text(
+                compose(problems[index])
+            )
 
-        def blocked_submit():
-            try:
-                svc.submit_chain(chains[1])
-            except ServiceError as exc:
-                outcome["error"] = exc
-
-        waiter = threading.Thread(target=blocked_submit)
-        waiter.start()
-        time.sleep(0.05)
-        svc.stop(drain=False)
-        waiter.join(timeout=30)
-        assert not waiter.is_alive()
-        assert isinstance(outcome["error"], ServiceError)
-
-    def test_expired_deadline_beats_stop_wakeup(self, chains):
+    def test_expired_deadline_beats_stop_wakeup(self, problems, monkeypatch):
         # The race: a waiter whose deadline has already expired is woken by
-        # stop()'s broadcast (or by the drain freeing space).  The outcome
-        # must be deterministic — once the budget is spent the waiter gets
+        # stop()'s broadcast (or by space freeing).  The outcome must be
+        # deterministic — once the budget is spent the waiter gets
         # ServiceDeadlineError, never the generic "service is stopped" error,
         # whichever signal wins the wakeup.
+        gate = {}
+        _instrument(monkeypatch, before=lambda: gate["release"].wait(60))
         for _ in range(20):
-            config = ServiceConfig(max_pending=1, admission="block")
-            svc = CompositionService(config=config)
-            svc.submit_chain(chains[0])
-            outcome = {}
-            started = threading.Event()
-
-            def blocked_submit():
-                started.set()
-                try:
-                    svc.submit_chain(chains[1], deadline_seconds=0.05)
-                except ServiceError as exc:
-                    outcome["error"] = exc
-
-            waiter = threading.Thread(target=blocked_submit)
-            waiter.start()
-            started.wait()
+            gate["release"] = threading.Event()
+            config = ServiceConfig(max_pending=1, admission="block", deadline_seconds=0.05)
+            svc = CompositionService(config=config).start()
+            calls = _fill(svc, problems)
+            blocked = _Call(svc.compose, problems[2])
+            _await_metric(svc, "blocked", 1)
             # Let the deadline expire while the waiter sleeps, then fire the
             # shutdown broadcast so both wake reasons arrive together.
             time.sleep(0.1)
-            svc.stop(drain=False)
-            waiter.join(timeout=30)
-            assert not waiter.is_alive()
-            assert isinstance(outcome["error"], ServiceDeadlineError), outcome[
-                "error"
-            ]
+            svc.stop()
+            blocked.thread.join(30)
+            assert not blocked.thread.is_alive()
+            assert isinstance(blocked.error, ServiceDeadlineError), blocked.error
+            gate["release"].set()
+            for call in calls:
+                call.result()
 
     def test_blocking_identical_results_under_burst(self, chains):
-        # A tiny queue with blocking admission: every client eventually gets
-        # a byte-identical result — blocking changes timing, never payloads.
+        # A tiny admission bound with blocking admission: every client
+        # eventually gets a byte-identical result — blocking changes timing,
+        # never payloads.
         config = ServiceConfig(max_pending=1, admission="block")
         expected = {
             index: _constraints_text(compose_chain(chain))
@@ -269,9 +339,7 @@ class TestBlockingAdmission:
 
             def client(index):
                 try:
-                    results[index] = _constraints_text(
-                        svc.compose_chain(chains[index], timeout=120)
-                    )
+                    results[index] = _constraints_text(svc.compose_chain(chains[index]))
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
 
@@ -326,7 +394,7 @@ class TestServiceGC:
 
 
 class TestConcurrentClients:
-    def test_overlapping_concurrent_clients_byte_identical_to_serial(self, chains):
+    def test_overlapping_concurrent_clients_byte_identical_to_serial(self, chains, monkeypatch):
         """Acceptance criterion: N concurrent clients with overlapping requests
         receive results byte-identical to serial execution."""
         problems = [problem_by_name("example1_movies").problem,
@@ -343,24 +411,25 @@ class TestConcurrentClients:
         num_clients = 8
         outcomes = [[] for _ in range(num_clients)]
         errors = []
+        # The first execution is held until every client has made its first
+        # request, so the first round overlaps for certain (clients 0 and 6
+        # ask for the same chain).
+        first_round = threading.Event()
+        _instrument(monkeypatch, before=lambda: first_round.wait(60))
         with CompositionService() as svc:
-            barrier = threading.Barrier(num_clients)
 
             def client(client_index: int) -> None:
                 try:
-                    barrier.wait(10)
                     # Every client walks the same workload, offset so requests
                     # overlap heavily but not identically.
                     for step in range(len(chains)):
                         chain_index = (client_index + step) % len(chains)
-                        ticket = svc.submit_chain(chains[chain_index])
-                        problem_index = (client_index + step) % len(problems)
-                        problem_ticket = svc.submit_problem(problems[problem_index])
                         outcomes[client_index].append(
-                            ("chain", chain_index, ticket.result(120))
+                            ("chain", chain_index, svc.compose_chain(chains[chain_index]))
                         )
+                        problem_index = (client_index + step) % len(problems)
                         outcomes[client_index].append(
-                            ("problem", problem_index, problem_ticket.result(120))
+                            ("problem", problem_index, svc.compose(problems[problem_index]))
                         )
                 except Exception as exc:  # noqa: BLE001 - surface in the main thread
                     errors.append(exc)
@@ -371,8 +440,11 @@ class TestConcurrentClients:
             ]
             for thread in threads:
                 thread.start()
+            _await_metric(svc, "submitted", num_clients)
+            first_round.set()
             for thread in threads:
-                thread.join()
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
 
         assert not errors
         for per_client in outcomes:
@@ -411,46 +483,24 @@ class TestMetrics:
         service.compose_chain(chains[0])
         metrics = service.metrics()
         assert set(metrics) == {
-            "requests", "batching", "latency", "phases", "expression_cache",
+            "requests", "batching", "phases", "expression_cache",
             "checkpoints", "gc", "degradation", "replication", "breaker", "leases",
             "tracing", "histograms",
         }
         assert metrics["requests"]["completed"] == 1
         assert metrics["batching"]["batches"] == 1
         assert metrics["phases"]  # per-phase buckets aggregated from the hops
-        assert metrics["latency"]["execution_seconds_total"] > 0
+        execution = metrics["histograms"]["execution_seconds"]
+        assert execution["count"] == 1 and execution["sum"] > 0
+        assert metrics["histograms"]["queue_seconds"]["count"] == 1
         assert metrics["checkpoints"]["entries"] >= 1
 
 
 class TestCallerRuns:
     """Blocking calls compose on the caller's thread, one at a time."""
 
-    @pytest.fixture()
-    def problems(self):
-        chain = generate_workload(
-            WorkloadConfig(num_problems=1, min_chain_length=7, max_chain_length=7, seed=23)
-        )[0]
-        return pairwise_problems(chain)
-
-    @staticmethod
-    def _instrument(monkeypatch, before=None):
-        """Wrap the engine's compose(); returns the list of executing threads."""
-        import repro.engine.batch as batch
-
-        threads = []
-        real = batch.compose
-
-        def instrumented(problem, config=None):
-            threads.append(threading.get_ident())
-            if before is not None:
-                before()
-            return real(problem, config)
-
-        monkeypatch.setattr(batch, "compose", instrumented)
-        return threads
-
     def test_blocking_compose_runs_on_the_callers_thread(self, service, problems, monkeypatch):
-        threads = self._instrument(monkeypatch)
+        threads = _instrument(monkeypatch)
         service.compose(problems[0])
         worker = threading.Thread(target=service.compose, args=(problems[1],))
         worker.start()
@@ -463,11 +513,11 @@ class TestCallerRuns:
         release = threading.Event()
         # The owner holds its execution open until every other caller has
         # coalesced onto it, so the dedup count is deterministic.
-        threads = self._instrument(monkeypatch, before=lambda: release.wait(60))
+        threads = _instrument(monkeypatch, before=lambda: release.wait(60))
         results = []
 
         def caller():
-            results.append(_constraints_text(service.compose(problems[0], timeout=60)))
+            results.append(_constraints_text(service.compose(problems[0])))
 
         callers = [threading.Thread(target=caller) for _ in range(num_callers)]
         for thread in callers:
@@ -500,7 +550,7 @@ class TestCallerRuns:
             with lock:
                 state["active"] -= 1
 
-        threads = self._instrument(monkeypatch, before=overlapping)
+        threads = _instrument(monkeypatch, before=overlapping)
         barrier = threading.Barrier(len(problems))
         results = {}
 
@@ -522,7 +572,7 @@ class TestCallerRuns:
         }
 
     def test_admission_counters_survive_a_thread_storm(self, problems):
-        # More callers than cores, mixing blocking and async calls on
+        # More callers than cores and than the admission bound, on
         # overlapping keys, with rapid thread switching: a lost update to
         # the pending count or the in-flight table would leave residue.
         expected = [_constraints_text(compose(problem)) for problem in problems]
@@ -536,10 +586,7 @@ class TestCallerRuns:
                     try:
                         for step in range(6):
                             which = (index + step) % len(problems)
-                            if step % 2:
-                                result = svc.submit_problem(problems[which]).result(60)
-                            else:
-                                result = svc.compose(problems[which], timeout=60)
+                            result = svc.compose(problems[which])
                             results.append(_constraints_text(result) == expected[which])
                     except Exception as exc:  # noqa: BLE001 - surfaced below
                         errors.append(exc)
